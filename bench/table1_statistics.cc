@@ -36,6 +36,7 @@ int Run(int argc, char** argv) {
                       "Table-I top-5 (target)"});
 
   const std::vector<CuisineStats> stats = ComputeCuisineStats(corpus);
+  const IngredientCounts counts(corpus);
   size_t total_recipes = 0;
   size_t total_ingredients = 0;
   int top5_hits = 0;
@@ -49,7 +50,7 @@ int Run(int argc, char** argv) {
     total_ingredients += s.num_unique_ingredients;
 
     const std::vector<OverrepresentationScore> top =
-        TopOverrepresented(corpus, cuisine, 5);
+        TopOverrepresented(counts, cuisine, 5);
     std::string computed;
     std::string target;
     for (size_t i = 0; i < top.size(); ++i) {

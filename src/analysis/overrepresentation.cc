@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/check.h"
+
 namespace culevo {
 namespace {
 
@@ -15,27 +17,21 @@ bool ScoreBefore(const OverrepresentationScore& a,
 }
 
 /// Eq. 1 for every ingredient occurring in `cuisine`, unsorted (ascending
-/// ingredient id, the accumulation order).
+/// ingredient id). A recipe counts an ingredient once regardless of how it
+/// is used (the corpus stores id sets).
 std::vector<OverrepresentationScore> ScoreIngredients(
-    const RecipeCorpus& corpus, CuisineId cuisine) {
-  const std::span<const uint32_t> indices = corpus.recipes_of(cuisine);
-  if (indices.empty() || corpus.num_recipes() == 0) return {};
+    const IngredientCounts& counts, CuisineId cuisine) {
+  CULEVO_CHECK(cuisine < kNumCuisines);
+  if (counts.recipes(cuisine) == 0) return {};
+  const std::span<const uint32_t> cuisine_count = counts.row(cuisine);
+  const std::span<const uint32_t> world_count = counts.world_row();
 
-  // Recipe-presence counts: per cuisine and world-wide. A recipe counts an
-  // ingredient once regardless of how it is used (corpus stores id sets).
-  std::vector<size_t> cuisine_count(kInvalidIngredient, 0);
-  for (uint32_t index : indices) {
-    for (IngredientId id : corpus.ingredients_of(index)) ++cuisine_count[id];
-  }
-  std::vector<size_t> world_count(kInvalidIngredient, 0);
-  for (uint32_t i = 0; i < corpus.num_recipes(); ++i) {
-    for (IngredientId id : corpus.ingredients_of(i)) ++world_count[id];
-  }
-
-  const double n_cuisine = static_cast<double>(indices.size());
-  const double n_world = static_cast<double>(corpus.num_recipes());
+  const double n_cuisine = static_cast<double>(counts.recipes(cuisine));
+  const double n_world = static_cast<double>(counts.num_recipes());
   std::vector<OverrepresentationScore> out;
-  out.reserve(corpus.UniqueIngredients(cuisine).size());
+  out.reserve(static_cast<size_t>(
+      cuisine_count.size() -
+      std::count(cuisine_count.begin(), cuisine_count.end(), 0u)));
   for (size_t id = 0; id < cuisine_count.size(); ++id) {
     if (cuisine_count[id] == 0) continue;
     OverrepresentationScore s;
@@ -51,17 +47,17 @@ std::vector<OverrepresentationScore> ScoreIngredients(
 }  // namespace
 
 std::vector<OverrepresentationScore> ComputeOverrepresentation(
-    const RecipeCorpus& corpus, CuisineId cuisine) {
+    const IngredientCounts& counts, CuisineId cuisine) {
   std::vector<OverrepresentationScore> out =
-      ScoreIngredients(corpus, cuisine);
+      ScoreIngredients(counts, cuisine);
   std::sort(out.begin(), out.end(), ScoreBefore);
   return out;
 }
 
 std::vector<OverrepresentationScore> TopOverrepresented(
-    const RecipeCorpus& corpus, CuisineId cuisine, size_t k) {
+    const IngredientCounts& counts, CuisineId cuisine, size_t k) {
   std::vector<OverrepresentationScore> all =
-      ScoreIngredients(corpus, cuisine);
+      ScoreIngredients(counts, cuisine);
   if (all.size() <= k) {
     std::sort(all.begin(), all.end(), ScoreBefore);
     return all;
@@ -72,6 +68,16 @@ std::vector<OverrepresentationScore> TopOverrepresented(
                     all.end(), ScoreBefore);
   all.resize(k);
   return all;
+}
+
+std::vector<OverrepresentationScore> ComputeOverrepresentation(
+    const RecipeCorpus& corpus, CuisineId cuisine) {
+  return ComputeOverrepresentation(IngredientCounts(corpus), cuisine);
+}
+
+std::vector<OverrepresentationScore> TopOverrepresented(
+    const RecipeCorpus& corpus, CuisineId cuisine, size_t k) {
+  return TopOverrepresented(IngredientCounts(corpus), cuisine, k);
 }
 
 }  // namespace culevo

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "analysis/ingredient_counts.h"
 #include "corpus/recipe_corpus.h"
 #include "lexicon/lexicon.h"
 
@@ -24,12 +25,20 @@ struct OverrepresentationScore {
 /// Computes Eq. 1 for every ingredient that occurs in `cuisine`, sorted by
 /// descending score. Returns an empty vector for an empty cuisine.
 std::vector<OverrepresentationScore> ComputeOverrepresentation(
-    const RecipeCorpus& corpus, CuisineId cuisine);
+    const IngredientCounts& counts, CuisineId cuisine);
 
 /// Convenience: the `k` most overrepresented ingredients of a cuisine
 /// (Table I's rightmost column). Ranks only the top k (partial_sort with
 /// the same deterministic tie-break), so it is equivalent to truncating
 /// ComputeOverrepresentation without paying the full sort.
+std::vector<OverrepresentationScore> TopOverrepresented(
+    const IngredientCounts& counts, CuisineId cuisine, size_t k);
+
+/// The same, counting `corpus` first (one pass over its recipes). Callers
+/// that rank several cuisines should count once and use the overloads
+/// above.
+std::vector<OverrepresentationScore> ComputeOverrepresentation(
+    const RecipeCorpus& corpus, CuisineId cuisine);
 std::vector<OverrepresentationScore> TopOverrepresented(
     const RecipeCorpus& corpus, CuisineId cuisine, size_t k);
 

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/ingredient_counts.h"
 #include "analysis/rank_frequency.h"
 #include "corpus/recipe_corpus.h"
 #include "lexicon/lexicon.h"
@@ -29,9 +30,12 @@ struct CuisineUsageProfile {
   bool empty() const { return ingredients.empty(); }
 };
 
-/// Builds the sparse usage profile of one cuisine (one scan of the
-/// cuisine's recipes; the cached per-cuisine unique-ingredient list keys
-/// the counts, so no kInvalidIngredient-sized scratch is allocated).
+/// Builds the sparse usage profile of one cuisine from its row of the
+/// count matrix (the ids with a non-zero count, ascending).
+CuisineUsageProfile BuildUsageProfile(const IngredientCounts& counts,
+                                      CuisineId cuisine);
+
+/// The same, counting `corpus` first (one pass over its recipes).
 CuisineUsageProfile BuildUsageProfile(const RecipeCorpus& corpus,
                                       CuisineId cuisine);
 
@@ -46,7 +50,9 @@ double UsageProfileDistance(const CuisineUsageProfile& a,
 /// against the cache never rescans a cuisine's recipes.
 class UsageProfileCache {
  public:
-  explicit UsageProfileCache(const RecipeCorpus& corpus);
+  explicit UsageProfileCache(const IngredientCounts& counts);
+  explicit UsageProfileCache(const RecipeCorpus& corpus)
+      : UsageProfileCache(IngredientCounts(corpus)) {}
 
   /// Precondition: cuisine < kNumCuisines.
   const CuisineUsageProfile& profile(CuisineId cuisine) const {

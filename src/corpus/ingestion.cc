@@ -224,15 +224,46 @@ IncrementalCorpus::DrainNewTransactions(CuisineId cuisine) {
   return std::exchange(pending_transactions_[cuisine], {});
 }
 
-Result<RecipeCorpus> IncrementalCorpus::Materialize() const {
-  RecipeCorpus::Builder builder;
-  builder.Reserve(num_recipes(), num_mentions());
-  for (size_t i = 0; i < cuisines_.size(); ++i) {
-    const std::span<const IngredientId> ingredients(
-        flat_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]);
-    CULEVO_RETURN_IF_ERROR(builder.Add(cuisines_[i], ingredients));
+namespace {
+
+/// Concatenates `lists` into `flat`, with list i spanning
+/// offsets[i]..offsets[i + 1] (RecipeCorpus's shard and unique layout).
+template <typename T, size_t N>
+void Flatten(const std::array<std::vector<T>, N>& lists, std::vector<T>* flat,
+             std::vector<uint32_t>* offsets) {
+  offsets->assign(1, 0);
+  for (const std::vector<T>& list : lists) {
+    flat->insert(flat->end(), list.begin(), list.end());
+    offsets->push_back(static_cast<uint32_t>(flat->size()));
   }
-  return builder.Build();
+}
+
+}  // namespace
+
+RecipeCorpus IncrementalCorpus::Adopt(std::vector<IngredientId> flat,
+                                      std::vector<uint32_t> offsets,
+                                      std::vector<CuisineId> cuisines) const {
+  RecipeCorpus corpus;
+  RecipeCorpus::Storage& s = corpus.storage_;
+  s.flat = std::move(flat);
+  s.offsets = std::move(offsets);
+  s.cuisines = std::move(cuisines);
+  s.shard_index.reserve(s.cuisines.size());
+  Flatten(shards_, &s.shard_index, &s.shard_offsets);
+  Flatten(unique_, &s.unique_flat, &s.unique_offsets);
+  corpus.RebindViews();
+  return corpus;
+}
+
+Result<RecipeCorpus> IncrementalCorpus::Materialize() const& {
+  return Adopt(flat_, offsets_, cuisines_);
+}
+
+Result<RecipeCorpus> IncrementalCorpus::Materialize() && {
+  RecipeCorpus corpus =
+      Adopt(std::move(flat_), std::move(offsets_), std::move(cuisines_));
+  *this = IncrementalCorpus();
+  return corpus;
 }
 
 Status IncrementalCorpus::WriteSnapshot(const std::string& path,

@@ -129,9 +129,13 @@ class IncrementalCorpus {
       CuisineId cuisine);
 
   /// Builds an owned, finalized RecipeCorpus from the current contents.
-  /// O(corpus); for handing the data to code that wants the immutable
-  /// type. Snapshots and stats do not need this.
-  Result<RecipeCorpus> Materialize() const;
+  /// The maintained columns, shards and unique lists are handed over as
+  /// they are (every recipe was validated by Add), not re-added through
+  /// RecipeCorpus::Builder. The const overload copies them, O(corpus);
+  /// the rvalue overload moves the columns and leaves this object empty.
+  /// Snapshots and stats do not need this.
+  Result<RecipeCorpus> Materialize() const&;
+  Result<RecipeCorpus> Materialize() &&;
 
   /// Writes a `CULEVO-CORPUS 1` snapshot of the current contents.
   /// Sections untouched since this object's previous WriteSnapshot reuse
@@ -142,6 +146,11 @@ class IncrementalCorpus {
 
  private:
   void SeedSizeSums();
+  /// A RecipeCorpus owning these columns plus flattened copies of
+  /// shards_ and unique_.
+  RecipeCorpus Adopt(std::vector<IngredientId> flat,
+                     std::vector<uint32_t> offsets,
+                     std::vector<CuisineId> cuisines) const;
 
   // CSR columns (append-only).
   std::vector<IngredientId> flat_;

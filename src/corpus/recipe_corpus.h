@@ -143,6 +143,9 @@ class RecipeCorpus {
 
  private:
   friend class Builder;
+  /// Hands its maintained columns, shards and unique lists straight to
+  /// storage_ (IncrementalCorpus::Materialize), as Builder::Build does.
+  friend class IncrementalCorpus;
 
   /// Owned columns (empty in borrowed mode). Shards and unique lists are
   /// flattened: shard c spans shard_offsets_[c]..shard_offsets_[c+1] of

@@ -6,80 +6,86 @@
 
 #include "obs/metrics.h"
 #include "obs/scoped_timer.h"
+#include "util/check.h"
 
 namespace culevo {
 
 QueryIndex QueryIndex::Build(const RecipeCorpus& corpus) {
+  return Extend(QueryIndex(), corpus);
+}
+
+QueryIndex QueryIndex::Extend(const QueryIndex& base,
+                              const RecipeCorpus& corpus) {
   static obs::Histogram* build_ms =
       obs::MetricsRegistry::Get().histogram("serve.index.build_ms");
   const obs::ScopedTimer timer(build_ms);
+  const uint32_t first = static_cast<uint32_t>(base.num_recipes());
+  CULEVO_CHECK(corpus.num_recipes() >= first);
+  CULEVO_DCHECK(std::equal(base.cuisines_.begin(), base.cuisines_.end(),
+                           corpus.cuisines().begin()));
 
   QueryIndex index;
-
-  // Per-cuisine overrepresentation tables, exactly the batch ranking.
-  index.overrep_.resize(kNumCuisines);
-  for (int c = 0; c < kNumCuisines; ++c) {
-    index.overrep_[static_cast<size_t>(c)] =
-        ComputeOverrepresentation(corpus, static_cast<CuisineId>(c));
-  }
-
-  index.profiles_ = std::make_shared<const UsageProfileCache>(corpus);
+  index.counts_ = base.counts_;
+  index.counts_.AddRecipes(corpus);
+  const IngredientCounts& counts = index.counts_;
+  const size_t universe = counts.universe();
 
   // Cuisine column copy for the search filter (the index must stay valid
   // even if the corpus it was built from is destroyed first).
   index.cuisines_.assign(corpus.cuisines().begin(), corpus.cuisines().end());
-  index.cuisine_recipes_.resize(kNumCuisines);
-  for (int c = 0; c < kNumCuisines; ++c) {
-    index.cuisine_recipes_[static_cast<size_t>(c)] = static_cast<uint32_t>(
-        corpus.num_recipes_in(static_cast<CuisineId>(c)));
-  }
 
-  // Ingredient→recipe postings, CSR over the id universe. Two passes:
-  // count, then place — recipes ascend, so postings come out sorted.
-  const std::span<const IngredientId> world_unique =
-      corpus.UniqueIngredients();
-  const size_t universe =
-      world_unique.empty() ? 0 : static_cast<size_t>(world_unique.back()) + 1;
+  // Ingredient→recipe postings, CSR over the universe. List lengths are
+  // the world counts. New recipes have higher indices than every base
+  // recipe, so each list is the base list followed by the new recipes
+  // that contain the id — both ascending.
+  const std::span<const uint32_t> world = counts.world_row();
   index.posting_offsets_.assign(universe + 1, 0);
-  for (uint32_t r = 0; r < corpus.num_recipes(); ++r) {
-    for (IngredientId id : corpus.ingredients_of(r)) {
-      ++index.posting_offsets_[id + 1];
-    }
+  std::partial_sum(world.begin(), world.end(),
+                   index.posting_offsets_.begin() + 1);
+  index.posting_recipes_.resize(index.posting_offsets_.back());
+  std::vector<uint32_t> cursor(universe);
+  for (size_t id = 0; id < universe; ++id) {
+    const std::span<const uint32_t> old =
+        base.Postings(static_cast<IngredientId>(id));
+    cursor[id] = static_cast<uint32_t>(
+        std::copy(old.begin(), old.end(),
+                  index.posting_recipes_.begin() +
+                      index.posting_offsets_[id]) -
+        index.posting_recipes_.begin());
   }
-  std::partial_sum(index.posting_offsets_.begin(),
-                   index.posting_offsets_.end(),
-                   index.posting_offsets_.begin());
-  index.posting_recipes_.resize(corpus.total_mentions());
-  std::vector<uint32_t> cursor(index.posting_offsets_.begin(),
-                               index.posting_offsets_.end() - 1);
-  for (uint32_t r = 0; r < corpus.num_recipes(); ++r) {
+  for (uint32_t r = first; r < corpus.num_recipes(); ++r) {
     for (IngredientId id : corpus.ingredients_of(r)) {
       index.posting_recipes_[cursor[id]++] = r;
     }
   }
 
-  // Per-cuisine usage-rank tables from the sparse profiles.
+  // The per-cuisine tables, all from the counts: overrepresentation
+  // (exactly the batch ranking), usage profiles, neighbour lists, ranks.
+  index.profiles_ = std::make_shared<const UsageProfileCache>(counts);
+  index.overrep_.resize(kNumCuisines);
+  index.nearest_.resize(kNumCuisines);
   index.ranked_.resize(kNumCuisines);
-  index.rank_of_.resize(kNumCuisines);
+  index.rank_of_.assign(kNumCuisines * universe, 0);
   for (int c = 0; c < kNumCuisines; ++c) {
-    const CuisineUsageProfile& profile =
-        index.profiles_->profile(static_cast<CuisineId>(c));
-    const size_t n = profile.ingredients.size();
-    std::vector<uint32_t> order(n);
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(), [&profile](uint32_t a, uint32_t b) {
-      if (profile.fractions[a] != profile.fractions[b]) {
-        return profile.fractions[a] > profile.fractions[b];
-      }
-      return profile.ingredients[a] < profile.ingredients[b];
-    });
-    std::vector<IngredientId>& ranked = index.ranked_[static_cast<size_t>(c)];
-    std::vector<uint32_t>& rank_of = index.rank_of_[static_cast<size_t>(c)];
-    ranked.resize(n);
-    rank_of.resize(n);
-    for (size_t pos = 0; pos < n; ++pos) {
-      ranked[pos] = profile.ingredients[order[pos]];
-      rank_of[order[pos]] = static_cast<uint32_t>(pos) + 1;
+    const CuisineId cuisine = static_cast<CuisineId>(c);
+    const size_t ci = static_cast<size_t>(c);
+    index.overrep_[ci] = ComputeOverrepresentation(counts, cuisine);
+    index.nearest_[ci] =
+        NearestCuisines(*index.profiles_, cuisine, kNumCuisines);
+
+    // Descending count is descending fraction: every fraction of the
+    // cuisine divides by the same recipe count.
+    const std::span<const uint32_t> row = counts.row(cuisine);
+    std::vector<IngredientId>& ranked = index.ranked_[ci];
+    ranked = index.profiles_->profile(cuisine).ingredients;
+    std::sort(ranked.begin(), ranked.end(),
+              [&row](IngredientId a, IngredientId b) {
+                if (row[a] != row[b]) return row[a] > row[b];
+                return a < b;
+              });
+    uint32_t* rank_of = index.rank_of_.data() + ci * universe;
+    for (size_t pos = 0; pos < ranked.size(); ++pos) {
+      rank_of[ranked[pos]] = static_cast<uint32_t>(pos) + 1;
     }
   }
   return index;
@@ -87,20 +93,14 @@ QueryIndex QueryIndex::Build(const RecipeCorpus& corpus) {
 
 std::optional<QueryIndex::UsageRank> QueryIndex::Usage(
     CuisineId cuisine, IngredientId id) const {
-  const CuisineUsageProfile& profile = profiles_->profile(cuisine);
-  const auto it = std::lower_bound(profile.ingredients.begin(),
-                                   profile.ingredients.end(), id);
-  if (it == profile.ingredients.end() || *it != id) return std::nullopt;
-  const size_t slot =
-      static_cast<size_t>(it - profile.ingredients.begin());
+  const uint32_t count = counts_.count(cuisine, id);
+  if (count == 0) return std::nullopt;
   UsageRank usage;
-  usage.fraction = profile.fractions[slot];
-  // Fractions are count / cuisine recipe count; the product is exact
-  // (the fraction was produced by that very division), the +0.5 guards
-  // the representable-but-inexact cases.
-  usage.count = static_cast<uint32_t>(
-      usage.fraction * static_cast<double>(cuisine_recipes_[cuisine]) + 0.5);
-  usage.rank = rank_of_[cuisine][slot];
+  usage.count = count;
+  // The division BuildUsageProfile performs for the same entry.
+  usage.fraction = static_cast<double>(count) /
+                   static_cast<double>(counts_.recipes(cuisine));
+  usage.rank = rank_of_[cuisine * counts_.universe() + id];
   return usage;
 }
 

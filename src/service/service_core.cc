@@ -169,7 +169,7 @@ Result<std::vector<std::string>> HandleOverrep(
   return rows;
 }
 
-/// `nearest <CUISINE> [k]` — cached sparse usage profiles.
+/// `nearest <CUISINE> [k]` — prefix of the cached neighbour list.
 Result<std::vector<std::string>> HandleNearest(
     const ServiceOptions& options, const ParsedRequest& request,
     const ServiceSnapshot& snapshot) {
@@ -182,7 +182,7 @@ Result<std::vector<std::string>> HandleNearest(
     k = *parsed;
   }
   if (k <= 0) return Status::InvalidArgument("k must be positive");
-  const std::vector<CuisineNeighbor> neighbors = snapshot.index.Nearest(
+  const std::span<const CuisineNeighbor> neighbors = snapshot.index.Nearest(
       *cuisine, std::min<size_t>(static_cast<size_t>(k),
                                  options.max_results));
   std::vector<std::string> rows;
@@ -570,12 +570,14 @@ Status ServiceCore::ReloadDelta(const std::string& path) {
       CULEVO_RETURN_IF_ERROR(
           incremental.Add(record.cuisine, record.ingredients));
     }
-    Result<RecipeCorpus> corpus = incremental.Materialize();
-    if (!corpus.ok()) return corpus.status();
     auto next = std::make_shared<ServiceSnapshot>();
     next->stats = incremental.stats();
+    Result<RecipeCorpus> corpus = std::move(incremental).Materialize();
+    if (!corpus.ok()) return corpus.status();
     CULEVO_FAILPOINT("serve.reload.index");
-    next->index = QueryIndex::Build(*corpus);
+    // The serving index covers the new corpus's first recipes exactly:
+    // extend it by the delta instead of rebuilding.
+    next->index = QueryIndex::Extend(current->index, *corpus);
     next->corpus = std::move(*corpus);
     next->source = current->source + "+" + path;
     next->content_fingerprint = CorpusContentFingerprint(next->corpus);

@@ -1,6 +1,7 @@
 #include "service/service_core.h"
 
 #include <atomic>
+#include <bit>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -18,6 +19,7 @@
 #include "lexicon/world_lexicon.h"
 #include "util/csv.h"
 #include "util/failpoint.h"
+#include "util/rng.h"
 #include "util/strings.h"
 
 namespace culevo {
@@ -580,6 +582,186 @@ TEST(ServiceCoreTest, ReloadDeltaThroughRequestGrammar) {
                          "error FailedPrecondition"));
   EXPECT_EQ(core.Acquire()->epoch, 2u);
   std::remove(path.c_str());
+}
+
+
+// A hot reload extends the serving index instead of rebuilding it. Over a
+// chain of deltas — one growing the ingredient universe, one populating a
+// cuisine the base left empty — every table of the extended index must
+// equal a fresh build over the materialized corpus, bit for bit, and every
+// request class must answer identically.
+
+uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
+
+void ExpectSameIndex(const QueryIndex& got, const QueryIndex& want) {
+  ASSERT_EQ(got.num_recipes(), want.num_recipes());
+  const IngredientCounts& got_counts = got.counts();
+  const IngredientCounts& want_counts = want.counts();
+  ASSERT_EQ(got_counts.universe(), want_counts.universe());
+  EXPECT_EQ(got_counts.num_recipes(), want_counts.num_recipes());
+  EXPECT_TRUE(std::ranges::equal(got_counts.world_row(),
+                                 want_counts.world_row()));
+  for (int c = 0; c < kNumCuisines; ++c) {
+    const CuisineId cuisine = static_cast<CuisineId>(c);
+    EXPECT_EQ(got_counts.recipes(cuisine), want_counts.recipes(cuisine));
+    EXPECT_TRUE(std::ranges::equal(got_counts.row(cuisine),
+                                   want_counts.row(cuisine)))
+        << c;
+
+    const auto got_overrep = got.Overrepresentation(cuisine);
+    const auto want_overrep = want.Overrepresentation(cuisine);
+    ASSERT_EQ(got_overrep.size(), want_overrep.size()) << c;
+    for (size_t i = 0; i < want_overrep.size(); ++i) {
+      EXPECT_EQ(got_overrep[i].ingredient, want_overrep[i].ingredient);
+      EXPECT_EQ(Bits(got_overrep[i].score), Bits(want_overrep[i].score));
+      EXPECT_EQ(Bits(got_overrep[i].cuisine_fraction),
+                Bits(want_overrep[i].cuisine_fraction));
+      EXPECT_EQ(Bits(got_overrep[i].world_fraction),
+                Bits(want_overrep[i].world_fraction));
+    }
+
+    const CuisineUsageProfile& got_profile = got.profiles().profile(cuisine);
+    const CuisineUsageProfile& want_profile =
+        want.profiles().profile(cuisine);
+    EXPECT_EQ(got_profile.ingredients, want_profile.ingredients) << c;
+    ASSERT_EQ(got_profile.fractions.size(), want_profile.fractions.size());
+    for (size_t i = 0; i < want_profile.fractions.size(); ++i) {
+      EXPECT_EQ(Bits(got_profile.fractions[i]),
+                Bits(want_profile.fractions[i]));
+    }
+    EXPECT_EQ(Bits(got_profile.norm), Bits(want_profile.norm)) << c;
+
+    const auto got_nearest = got.Nearest(cuisine, kNumCuisines);
+    const auto want_nearest = want.Nearest(cuisine, kNumCuisines);
+    ASSERT_EQ(got_nearest.size(), want_nearest.size()) << c;
+    for (size_t i = 0; i < want_nearest.size(); ++i) {
+      EXPECT_EQ(got_nearest[i].cuisine, want_nearest[i].cuisine);
+      EXPECT_EQ(Bits(got_nearest[i].distance),
+                Bits(want_nearest[i].distance));
+    }
+
+    EXPECT_TRUE(std::ranges::equal(got.RankedIngredients(cuisine),
+                                   want.RankedIngredients(cuisine)))
+        << c;
+    for (size_t id = 0; id <= want_counts.universe(); ++id) {
+      const auto got_usage = got.Usage(cuisine, static_cast<IngredientId>(id));
+      const auto want_usage =
+          want.Usage(cuisine, static_cast<IngredientId>(id));
+      ASSERT_EQ(got_usage.has_value(), want_usage.has_value()) << c << "/" << id;
+      if (!want_usage.has_value()) continue;
+      EXPECT_EQ(got_usage->count, want_usage->count);
+      EXPECT_EQ(Bits(got_usage->fraction), Bits(want_usage->fraction));
+      EXPECT_EQ(got_usage->rank, want_usage->rank);
+    }
+  }
+  for (size_t id = 0; id <= want_counts.universe(); ++id) {
+    EXPECT_TRUE(std::ranges::equal(got.Postings(static_cast<IngredientId>(id)),
+                                   want.Postings(static_cast<IngredientId>(id))))
+        << id;
+  }
+}
+
+TEST(ServiceCoreTest, ReloadDeltaChainExtendsIndexBitExactly) {
+  // Ids [0, base_universe) in the base; the second delta adds the ids
+  // above it. The last cuisine stays empty until the third delta.
+  const size_t lexicon_size = WorldLexicon().size();
+  ASSERT_GT(lexicon_size, 64u);
+  const IngredientId base_universe =
+      static_cast<IngredientId>(std::min<size_t>(lexicon_size - 16, 400));
+  const CuisineId late = kNumCuisines - 1;
+  Rng rng(20190408);
+  const auto recipe = [&rng](IngredientId lo, IngredientId hi) {
+    std::vector<IngredientId> ids(2 + rng.NextBounded(10));
+    for (IngredientId& id : ids) {
+      id = static_cast<IngredientId>(lo + rng.NextBounded(hi - lo));
+    }
+    return ids;
+  };
+
+  IncrementalCorpus chain;
+  for (int i = 0; i < 20000; ++i) {
+    ASSERT_TRUE(chain
+                    .Add(static_cast<CuisineId>(rng.NextBounded(late)),
+                         recipe(0, base_universe))
+                    .ok());
+  }
+  Result<RecipeCorpus> base = chain.Materialize();
+  ASSERT_TRUE(base.ok()) << base.status();
+  ServiceCore core = MakeCore();
+  ASSERT_TRUE(core.InstallCorpus(*base, "base").ok());
+  ASSERT_EQ(core.Acquire()->index.counts().universe(), base_universe);
+  ASSERT_EQ(core.Acquire()->index.counts().recipes(late), 0u);
+
+  const IngredientId top = static_cast<IngredientId>(lexicon_size);
+  const std::vector<std::vector<CorpusDeltaRecord>> deltas = [&] {
+    std::vector<std::vector<CorpusDeltaRecord>> out(3);
+    for (int i = 0; i < 200; ++i) {
+      out[0].push_back({static_cast<CuisineId>(rng.NextBounded(late)),
+                        recipe(0, base_universe)});
+    }
+    for (int i = 0; i < 200; ++i) {
+      out[1].push_back({static_cast<CuisineId>(rng.NextBounded(late)),
+                        i % 4 == 0 ? recipe(base_universe, top)
+                                   : recipe(0, top)});
+    }
+    for (int i = 0; i < 200; ++i) {
+      out[2].push_back({i % 2 == 0 ? late
+                                   : static_cast<CuisineId>(
+                                         rng.NextBounded(kNumCuisines)),
+                        recipe(0, top)});
+    }
+    return out;
+  }();
+
+  for (size_t d = 0; d < deltas.size(); ++d) {
+    SCOPED_TRACE("delta " + std::to_string(d));
+    Result<RecipeCorpus> before = chain.Materialize();
+    ASSERT_TRUE(before.ok());
+    CorpusDelta delta;
+    delta.base_recipes = before->num_recipes();
+    delta.base_fingerprint = CorpusContentFingerprint(*before);
+    delta.records = deltas[d];
+    for (const CorpusDeltaRecord& r : delta.records) {
+      ASSERT_TRUE(chain.Add(r.cuisine, r.ingredients).ok());
+    }
+    const std::string path = testing::TempDir() + "culevo_delta_chain_" +
+                             std::to_string(d) + ".bin";
+    ASSERT_TRUE(WriteCorpusDelta(path, delta, {.sync = false}).ok());
+    ASSERT_TRUE(core.ReloadDelta(path).ok());
+    std::remove(path.c_str());
+
+    Result<RecipeCorpus> after = chain.Materialize();
+    ASSERT_TRUE(after.ok());
+    const std::shared_ptr<const ServiceSnapshot> served = core.Acquire();
+    EXPECT_EQ(served->content_fingerprint, CorpusContentFingerprint(*after));
+    ExpectSameIndex(served->index, QueryIndex::Build(*after));
+
+    ServiceCore reference = MakeCore();
+    ASSERT_TRUE(reference.InstallCorpus(*after, "base").ok());
+    std::vector<std::string> requests = {
+        "recipe 0", StrFormat("recipe %zu", after->num_recipes() - 1),
+        StrFormat("search #%u,#%u", top - 1, top - 2),
+        StrFormat("search #3 cuisine=%s limit=50", Code(late).c_str())};
+    for (int c = 0; c < kNumCuisines; ++c) {
+      const std::string code = Code(static_cast<CuisineId>(c));
+      requests.push_back("overrep " + code + " 20");
+      requests.push_back("nearest " + code + " 30");
+      requests.push_back("nearest " + code + " 3");
+      requests.push_back("stats " + code);
+      for (const IngredientId id : {IngredientId{0}, IngredientId{7},
+                                    IngredientId(base_universe - 1),
+                                    base_universe,
+                                    IngredientId(top - 1)}) {
+        requests.push_back(StrFormat("freq %s #%u", code.c_str(), id));
+      }
+    }
+    for (const std::string& request : requests) {
+      EXPECT_EQ(core.Handle(request), reference.Handle(request)) << request;
+    }
+  }
+  // The chain really grew the universe and filled the empty cuisine.
+  EXPECT_EQ(core.Acquire()->index.counts().universe(), lexicon_size);
+  EXPECT_GT(core.Acquire()->index.counts().recipes(late), 0u);
 }
 
 }  // namespace
