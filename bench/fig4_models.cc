@@ -14,11 +14,14 @@
 // Pass --details-json <path> to also write the full per-cuisine,
 // per-model results (MAE values and aggregated curves) as machine-readable
 // JSON. (--json emits the standard BENCH telemetry document shared by all
-// bench binaries; see bench_common.h.)
+// bench binaries; see bench_common.h.) Pass --threads <n> to run each
+// model's replicas on an n-thread pool; results are bit-identical to the
+// serial default.
 
 #include <cstdio>
 #include <iostream>
 #include <map>
+#include <memory>
 
 #include "bench/bench_common.h"
 #include "core/copy_mutate.h"
@@ -28,6 +31,7 @@
 #include "util/csv.h"
 #include "util/json.h"
 #include "util/table_printer.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -64,6 +68,16 @@ int Run(int argc, char** argv) {
   // worker processes (re-execs of this binary with --worker-shard; see
   // exec/fabric.h), then merges the shard journals and finishes in
   // process — output bit-identical to --workers 1.
+  // --threads <n> runs each model's replicas on an n-thread pool; the
+  // output is bit-identical to the serial default.
+  const long long threads = options.flags.GetInt("threads", 1);
+  if (threads < 1) {
+    return reporter.Fail(Status::InvalidArgument(
+        StrFormat("--threads must be >= 1, got %lld", threads)));
+  }
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+
   const int workers =
       static_cast<int>(options.flags.GetInt("workers", 1));
   const bool is_worker = options.flags.Has("worker-shard");
@@ -133,7 +147,7 @@ int Run(int argc, char** argv) {
   for (int c = 0; c < kNumCuisines; ++c) {
     const CuisineId cuisine = static_cast<CuisineId>(c);
     Result<CuisineEvaluation> ev =
-        EvaluateCuisine(corpus, cuisine, lexicon, models, config);
+        EvaluateCuisine(corpus, cuisine, lexicon, models, config, pool.get());
     if (!ev.ok()) {
       return reporter.Fail(ev.status());
     }

@@ -370,7 +370,7 @@ int main(int argc, char** argv) {
         const TransactionSet& incremental =
             standing_txns[static_cast<size_t>(c)];
         const TransactionSet& reference = rebuilt_txns[static_cast<size_t>(c)];
-        if (incremental.transactions() != reference.transactions()) {
+        if (incremental != reference) {
           std::fprintf(stderr,
                        "INCREMENTAL FAILURE: cuisine %d transactions diverged "
                        "from full rebuild\n",

@@ -66,7 +66,7 @@ TransactionSet CorpusTransactions(const RecipeCorpus& corpus,
       static_cast<size_t>(static_cast<double>(all.size()) * fraction);
   subset.Reserve(keep);
   for (size_t i = 0; i < keep; ++i) {
-    subset.Add(std::vector<Item>(all.transaction(i)));
+    subset.Add(all.transaction(i));
   }
   return subset;
 }

@@ -36,8 +36,13 @@
 // --worker-retries times. A final in-process pass merges the shard
 // journals and re-runs anything no worker finished — results are
 // bit-identical to --workers 1. See DESIGN.md §12.
+//
+// Replica threads (evaluate): --threads <n> runs each model's replicas on
+// an n-thread pool inside this process; output is bit-identical to the
+// serial default.
 
 #include <iostream>
+#include <memory>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -62,6 +67,7 @@
 #include "util/flags.h"
 #include "util/strings.h"
 #include "util/table_printer.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -100,7 +106,8 @@ int Usage() {
          "checkpoint journal) --workers <n> (shard replicas across n "
          "supervised worker processes; requires --checkpoint) "
          "--worker-stall-ms <n> --worker-stall-mult <x> "
-         "--worker-retries <n>\n";
+         "--worker-retries <n> --threads <n> (run replicas on an n-thread "
+         "pool)\n";
   return 2;
 }
 
@@ -185,6 +192,14 @@ int RunEvaluate(const FlagParser& flags) {
     return 2;
   }
 
+  const long long threads = flags.GetInt("threads", 1);
+  if (threads < 1) {
+    std::cerr << "--threads must be >= 1, got " << threads << "\n";
+    return 2;
+  }
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+
   const int workers = static_cast<int>(flags.GetInt("workers", 1));
   const bool is_worker = flags.Has("worker-shard");
   if (workers > 1 && !config.checkpoint.enabled()) {
@@ -234,7 +249,7 @@ int RunEvaluate(const FlagParser& flags) {
 
   Result<CuisineEvaluation> evaluation = EvaluateCuisine(
       *corpus, cuisine.value(), lexicon,
-      {cm_r.get(), cm_c.get(), cm_m.get(), &nm}, config);
+      {cm_r.get(), cm_c.get(), cm_m.get(), &nm}, config, pool.get());
   if (!evaluation.ok()) {
     std::cerr << evaluation.status() << "\n";
     return 1;

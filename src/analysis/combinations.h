@@ -46,8 +46,15 @@ std::vector<Itemset> MineCombinations(const TransactionSet& transactions,
 
 /// The popularity (rank-frequency) curve of a transaction set's frequent
 /// combinations: supports normalized by the transaction count, sorted
-/// descending — one point per frequent itemset (Fig. 3 / Fig. 4).
+/// descending — one point per frequent itemset (Fig. 3 / Fig. 4). Eclat
+/// mines it count-only (MineEclatSupports): no itemset is built.
 RankFrequency CombinationCurve(const TransactionSet& transactions,
+                               const CombinationConfig& config = {});
+
+/// The same curve mined straight from a row source, normalized by its row
+/// count: equal to CombinationCurve(TransactionSet::FromRows(rows)), but
+/// Eclat never materializes the transactions (Apriori still does).
+RankFrequency CombinationCurve(const RowSource& rows,
                                const CombinationConfig& config = {});
 
 /// Fig. 3(a): ingredient-combination curve of one cuisine.

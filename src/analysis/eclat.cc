@@ -5,7 +5,10 @@
 #include <cstdint>
 #include <cstring>
 #include <deque>
+#include <functional>
+#include <iterator>
 #include <memory>
+#include <type_traits>
 #include <utility>
 
 #include "analysis/mine_scheduler.h"
@@ -73,12 +76,39 @@ bool NodeSupportLess(const Node& a, const Node& b) {
   return a.item < b.item;
 }
 
-/// Mines equivalence classes. One instance per mining participant (the
-/// whole call when serial); owns no tid storage — candidate payloads live
-/// in the arena passed to each MineClass call, released with stack
-/// discipline as the recursion unwinds. Sibling Node vectors are pooled
-/// per recursion depth, so steady-state mining allocates only for emitted
-/// itemsets.
+/// Output sink of MineEclat: every itemset, with its items sorted
+/// (callers hand over mining-order prefixes). Finish() sorts the itemsets
+/// canonically.
+struct ItemsetSink {
+  std::vector<Itemset> out;
+
+  void Emit(const std::vector<Item>& items, uint32_t support) {
+    std::vector<Item> sorted_items(items);
+    std::sort(sorted_items.begin(), sorted_items.end());
+    out.push_back(Itemset{std::move(sorted_items), support});
+  }
+  void Finish();
+};
+
+/// Output sink of the count-only entry points: the support alone, no
+/// itemset. Finish() sorts descending, a total order, so the parallel
+/// path's output is bit-identical to serial.
+struct SupportSink {
+  std::vector<size_t> out;
+
+  void Emit(const std::vector<Item>& /*items*/, uint32_t support) {
+    out.push_back(support);
+  }
+  void Finish() { std::sort(out.begin(), out.end(), std::greater<size_t>()); }
+};
+
+/// Mines equivalence classes into a Sink (ItemsetSink or SupportSink). One
+/// instance per mining participant (the whole call when serial); owns no
+/// tid storage — candidate payloads live in the arena passed to each
+/// MineClass call, released with stack discipline as the recursion
+/// unwinds. Sibling Node vectors are pooled per recursion depth, so
+/// steady-state mining allocates only for emitted output.
+template <typename Sink>
 class ClassMiner {
  public:
   ClassMiner(size_t num_words, size_t min_support, size_t dense_min_support)
@@ -86,7 +116,7 @@ class ClassMiner {
         min_support_(min_support),
         dense_min_support_(dense_min_support) {}
 
-  void set_output(std::vector<Itemset>* out) { out_ = out; }
+  void set_output(Sink* out) { out_ = out; }
 
   /// Mines `nodes[index]` under `prefix` with extensions drawn from the
   /// nodes after it: emits (prefix + item), then recurses over the child
@@ -119,12 +149,9 @@ class ClassMiner {
     BuildChildren(node, siblings, from, children);
   }
 
-  /// Emits `items` + `support` as one itemset (items get sorted; callers
-  /// hand over mining-order prefixes).
-  void EmitItemset(const std::vector<Item>& items, uint32_t support) {
-    std::vector<Item> sorted_items(items);
-    std::sort(sorted_items.begin(), sorted_items.end());
-    out_->push_back(Itemset{std::move(sorted_items), support});
+  /// Emits `items` + `support` as one itemset.
+  void Emit(const std::vector<Item>& items, uint32_t support) {
+    out_->Emit(items, support);
   }
 
   const KernelStats& stats() const { return stats_; }
@@ -135,7 +162,7 @@ class ClassMiner {
     return levels_[depth];
   }
 
-  void EmitPrefix(uint32_t support) { EmitItemset(prefix_, support); }
+  void EmitPrefix(uint32_t support) { Emit(prefix_, support); }
 
   void BuildChildren(const Node& node, const std::vector<Node>& siblings,
                      size_t from, std::vector<Node>* children) {
@@ -232,7 +259,7 @@ class ClassMiner {
   const size_t num_words_;
   const size_t min_support_;
   const size_t dense_min_support_;
-  std::vector<Itemset>* out_ = nullptr;
+  Sink* out_ = nullptr;
   std::vector<Item> prefix_;
   std::deque<std::vector<Node>> levels_;  ///< Per-depth sibling freelist.
   std::vector<uint32_t> scratch_;         ///< Dense-to-sparse staging.
@@ -264,6 +291,7 @@ struct SubtreeTask {
 /// participant runs its tasks strictly sequentially, so the arena, miner
 /// scratch, and output buffer need no locking; outputs are concatenated
 /// and canonically sorted after the run.
+template <typename Sink>
 struct MineParticipant {
   MineParticipant(size_t chunk_words, size_t num_words, size_t min_support,
                   size_t dense_min_support)
@@ -272,8 +300,8 @@ struct MineParticipant {
   }
 
   TidArena arena;
-  ClassMiner miner;
-  std::vector<Itemset> out;
+  ClassMiner<Sink> miner;
+  Sink out;
   int64_t splits = 0;
   int64_t split_bytes = 0;
 };
@@ -315,6 +343,8 @@ void SortItemsets(std::vector<Itemset>* itemsets) {
   *itemsets = std::move(sorted);
 }
 
+void ItemsetSink::Finish() { SortItemsets(&out); }
+
 struct EclatMetrics {
   obs::Counter* calls;
   obs::Counter* itemsets;
@@ -351,104 +381,150 @@ struct EclatMetrics {
   }
 };
 
-}  // namespace
+struct IdentityItem {
+  size_t operator()(size_t entry) const { return entry; }
+};
 
-std::vector<Itemset> MineEclat(const TransactionSet& transactions,
-                               size_t min_support_count,
-                               const EclatOptions& options) {
-  const EclatMetrics& metrics = EclatMetrics::Get();
-  obs::ScopedTimer timer(metrics.wall_ms);
-  metrics.calls->Increment();
+struct LookupItem {
+  const Item* table;
+  size_t operator()(uint32_t entry) const { return table[entry]; }
+};
 
-  if (min_support_count == 0) min_support_count = 1;
-  const size_t n = transactions.size();
-  metrics.txns->Increment(static_cast<int64_t>(n));
-  if (n == 0) return {};
-  CULEVO_DCHECK(n <= UINT32_MAX);
-  const size_t num_words = (n + 63) / 64;
-  const double threshold = options.density_threshold;
-  const size_t dense_min_support =
-      threshold <= 0.0
-          ? 0
-          : static_cast<size_t>(
-                std::ceil(threshold * static_cast<double>(n)));
+/// A row source as the root build reads it: row `tid` holds the items
+/// item_of(entries[e]) for e in [offsets[tid], offsets[tid + 1]). A
+/// TransactionSet is the identity-mapped case; a RowSource either that or
+/// a table lookup. Only a lookup can map two entries of a row to one item
+/// (kMayRepeat), which the root build then counts once per row.
+template <typename Entry, typename ItemOf>
+struct Rows {
+  static constexpr bool kMayRepeat = std::is_same_v<ItemOf, LookupItem>;
 
-  // Frequent singletons -> root tid lists (vertical representation).
-  TidArena root_arena;
-  std::vector<Node> roots;
-  const size_t universe = transactions.item_universe();
+  const uint32_t* offsets;
+  const Entry* entries;
+  size_t num_rows;
+  size_t universe;
+  ItemOf item_of;
+};
+
+/// What one mining call fixes before the root build.
+struct MineShape {
+  size_t num_words = 0;          ///< Words per dense tid list.
+  size_t min_support = 0;
+  size_t dense_min_support = 0;  ///< Dense-vs-sparse cut (see EclatOptions).
+};
+
+/// Frequent singletons -> root tid lists (the vertical representation),
+/// unsorted. `rows.num_rows` must be > 0.
+template <typename RowsT>
+void BuildRoots(const RowsT& rows, const MineShape& shape,
+                TidArena* root_arena, std::vector<Node>* roots) {
+  const size_t n = rows.num_rows;
+  const size_t num_words = shape.num_words;
+  const size_t universe = rows.universe;
+  const auto for_each_item = [&rows](size_t tid, auto&& fn) {
+    for (uint32_t e = rows.offsets[tid]; e < rows.offsets[tid + 1]; ++e) {
+      const size_t item = rows.item_of(rows.entries[e]);
+      CULEVO_DCHECK(item < rows.universe);
+      fn(item);
+    }
+  };
   const size_t grid_words = universe * num_words;
   if (grid_words > 0 && grid_words <= kDirectGridMaxWords) {
     // Direct transposition: scatter every occurrence into a dense
     // universe x num_words bit grid in one pass, then read supports off
     // per-row popcounts. Skips the counting pass and the per-item
-    // frequent/representation branching in the scatter loop.
-    uint64_t* grid = root_arena.AllocWords(grid_words);
+    // frequent/representation branching in the scatter loop. Setting a
+    // bit twice is harmless, so repeated items need no special case.
+    uint64_t* grid = root_arena->AllocWords(grid_words);
     std::memset(grid, 0, grid_words * sizeof(uint64_t));
     for (size_t tid = 0; tid < n; ++tid) {
       const size_t word = tid >> 6;
       const uint64_t bit = uint64_t{1} << (tid & 63);
-      for (Item item : transactions.transaction(tid)) {
-        grid[static_cast<size_t>(item) * num_words + word] |= bit;
-      }
+      for_each_item(tid, [&](size_t item) {
+        grid[item * num_words + word] |= bit;
+      });
     }
     for (size_t item = 0; item < universe; ++item) {
       const uint64_t* row = grid + item * num_words;
       const size_t support = mining::PopcountWords(row, num_words);
-      if (support < min_support_count) continue;
+      if (support < shape.min_support) continue;
       TidList tids;
       tids.support = static_cast<uint32_t>(support);
-      if (support >= dense_min_support) {
+      if (support >= shape.dense_min_support) {
         tids.words = row;
       } else {
-        uint32_t* out = root_arena.AllocTids(support);
+        uint32_t* out = root_arena->AllocTids(support);
         mining::DenseToSparse(row, num_words, out);
         tids.tids = out;
       }
-      roots.push_back(Node{static_cast<Item>(item), tids});
+      roots->push_back(Node{static_cast<Item>(item), tids});
     }
-  } else {
-    std::vector<uint32_t> counts(universe, 0);
-    for (const std::vector<Item>& t : transactions.transactions()) {
-      for (Item item : t) ++counts[item];
-    }
-    // Flat per-item destination tables keep the fill loop to one load and
-    // one branch per occurrence of a frequent item.
-    std::vector<uint64_t*> words_of_item(universe, nullptr);
-    std::vector<uint32_t*> cursor_of_item(universe, nullptr);
-    for (size_t item = 0; item < universe; ++item) {
-      if (counts[item] < min_support_count) continue;
-      TidList tids;
-      tids.support = counts[item];
-      if (counts[item] >= dense_min_support) {
-        uint64_t* words = root_arena.AllocWords(num_words);
-        std::memset(words, 0, num_words * sizeof(uint64_t));
-        tids.words = words;
-        words_of_item[item] = words;
-      } else {
-        uint32_t* out = root_arena.AllocTids(counts[item]);
-        tids.tids = out;
-        cursor_of_item[item] = out;
-      }
-      roots.push_back(Node{static_cast<Item>(item), tids});
-    }
-    for (size_t tid = 0; tid < n; ++tid) {
-      const size_t word = tid >> 6;
-      const uint64_t bit = uint64_t{1} << (tid & 63);
-      for (Item item : transactions.transaction(tid)) {
-        if (uint64_t* words = words_of_item[item]) {
-          words[word] |= bit;
-        } else if (uint32_t*& cursor = cursor_of_item[item]) {
-          *cursor++ = static_cast<uint32_t>(tid);
-        }
-      }
-    }
+    return;
   }
-  std::sort(roots.begin(), roots.end(), NodeSupportLess);
 
-  std::vector<Itemset> result;
-  KernelStats stats;
-  int64_t arena_bytes = 0;
+  // Count-then-fill. A mapped row can repeat an item; the last row that
+  // counted each item is stamped so the repeat is skipped, in the counting
+  // pass and again in the fill pass (where it would append a sparse tid
+  // twice).
+  constexpr bool kMayRepeat = RowsT::kMayRepeat;
+  std::vector<uint32_t> stamp(kMayRepeat ? universe : 0);
+  const auto first_in_row = [&stamp](size_t item, size_t tid) {
+    if (!kMayRepeat) return true;
+    if (stamp[item] == tid) return false;
+    stamp[item] = static_cast<uint32_t>(tid);
+    return true;
+  };
+  std::fill(stamp.begin(), stamp.end(), UINT32_MAX);
+  std::vector<uint32_t> counts(universe, 0);
+  for (size_t tid = 0; tid < n; ++tid) {
+    for_each_item(tid, [&](size_t item) {
+      if (first_in_row(item, tid)) ++counts[item];
+    });
+  }
+  // Flat per-item destination tables keep the fill loop to one load and
+  // one branch per occurrence of a frequent item.
+  std::vector<uint64_t*> words_of_item(universe, nullptr);
+  std::vector<uint32_t*> cursor_of_item(universe, nullptr);
+  for (size_t item = 0; item < universe; ++item) {
+    if (counts[item] < shape.min_support) continue;
+    TidList tids;
+    tids.support = counts[item];
+    if (counts[item] >= shape.dense_min_support) {
+      uint64_t* words = root_arena->AllocWords(num_words);
+      std::memset(words, 0, num_words * sizeof(uint64_t));
+      tids.words = words;
+      words_of_item[item] = words;
+    } else {
+      uint32_t* out = root_arena->AllocTids(counts[item]);
+      tids.tids = out;
+      cursor_of_item[item] = out;
+    }
+    roots->push_back(Node{static_cast<Item>(item), tids});
+  }
+  std::fill(stamp.begin(), stamp.end(), UINT32_MAX);
+  for (size_t tid = 0; tid < n; ++tid) {
+    const size_t word = tid >> 6;
+    const uint64_t bit = uint64_t{1} << (tid & 63);
+    for_each_item(tid, [&](size_t item) {
+      if (!first_in_row(item, tid)) return;
+      if (uint64_t* words = words_of_item[item]) {
+        words[word] |= bit;
+      } else if (uint32_t*& cursor = cursor_of_item[item]) {
+        *cursor++ = static_cast<uint32_t>(tid);
+      }
+    });
+  }
+}
+
+/// Mines the classes under `roots` (sorted by NodeSupportLess) into
+/// `sink`, serially or on options.pool, and adds the kernel counters to
+/// `stats` and the arena footprint to `arena_bytes`.
+template <typename Sink>
+void MineRoots(std::vector<Node> roots, TidArena* root_arena,
+               const MineShape& shape, const EclatOptions& options,
+               Sink* sink, KernelStats* stats, int64_t* arena_bytes) {
+  const EclatMetrics& metrics = EclatMetrics::Get();
+  const size_t num_words = shape.num_words;
   // Class arenas start at a few tid lists' worth of storage (wide-universe
   // inputs spawn thousands of short-lived classes) and grow chunk-wise if
   // a class runs deep.
@@ -462,12 +538,12 @@ std::vector<Itemset> MineEclat(const TransactionSet& transactions,
     // heuristic above; outputs are concatenated and canonically sorted, so
     // the result is bit-identical to the serial path.
     mining::WorkStealingScheduler<SubtreeTask> scheduler(options.pool);
-    std::vector<std::unique_ptr<MineParticipant>> participants;
+    std::vector<std::unique_ptr<MineParticipant<Sink>>> participants;
     participants.reserve(scheduler.num_participants());
     for (size_t p = 0; p < scheduler.num_participants(); ++p) {
-      participants.push_back(std::make_unique<MineParticipant>(
-          class_chunk_words, num_words, min_support_count,
-          dense_min_support));
+      participants.push_back(std::make_unique<MineParticipant<Sink>>(
+          class_chunk_words, num_words, shape.min_support,
+          shape.dense_min_support));
     }
 
     auto root_ctx = std::make_shared<SplitCtx>(/*chunk_words=*/1);
@@ -480,7 +556,7 @@ std::vector<Itemset> MineEclat(const TransactionSet& transactions,
 
     const auto body = [&](size_t p, SubtreeTask& task,
                           std::vector<SubtreeTask>* spawned) {
-      MineParticipant& me = *participants[p];
+      MineParticipant<Sink>& me = *participants[p];
       SplitCtx& ctx = *task.ctx;
       const Node& node = ctx.nodes[task.index];
       const size_t remaining = ctx.nodes.size() - task.index - 1;
@@ -490,7 +566,7 @@ std::vector<Itemset> MineEclat(const TransactionSet& transactions,
         child->prefix = ctx.prefix;
         child->prefix.push_back(node.item);
         child->depth = ctx.depth + 1;
-        me.miner.EmitItemset(child->prefix, node.tids.support);
+        me.miner.Emit(child->prefix, node.tids.support);
         me.miner.BuildChildrenInto(&child->arena, node, ctx.nodes,
                                    task.index + 1, &child->nodes);
         ++me.splits;
@@ -508,47 +584,120 @@ std::vector<Itemset> MineEclat(const TransactionSet& transactions,
 
     size_t total = 0;
     int64_t splits = 0;
-    for (const std::unique_ptr<MineParticipant>& part : participants) {
-      total += part->out.size();
-    }
-    result.reserve(total);
-    for (std::unique_ptr<MineParticipant>& part : participants) {
-      std::move(part->out.begin(), part->out.end(),
-                std::back_inserter(result));
-      stats.Accumulate(part->miner.stats());
-      arena_bytes += static_cast<int64_t>(part->arena.allocated_bytes()) +
-                     part->split_bytes;
+    for (const auto& part : participants) total += part->out.out.size();
+    sink->out.reserve(total);
+    for (auto& part : participants) {
+      std::move(part->out.out.begin(), part->out.out.end(),
+                std::back_inserter(sink->out));
+      stats->Accumulate(part->miner.stats());
+      *arena_bytes += static_cast<int64_t>(part->arena.allocated_bytes()) +
+                      part->split_bytes;
       splits += part->splits;
     }
-    arena_bytes += static_cast<int64_t>(root_arena.allocated_bytes());
+    *arena_bytes += static_cast<int64_t>(root_arena->allocated_bytes());
     metrics.subtree_tasks->Increment(run_stats.tasks_executed);
     metrics.steals->Increment(run_stats.tasks_stolen);
     metrics.splits->Increment(splits);
   } else {
-    ClassMiner miner(num_words, min_support_count, dense_min_support);
-    miner.set_output(&result);
+    ClassMiner<Sink> miner(num_words, shape.min_support,
+                           shape.dense_min_support);
+    miner.set_output(sink);
     const std::vector<Item> empty_prefix;
     for (size_t i = 0; i < roots.size(); ++i) {
       if (CancelToken::ShouldStop(options.cancel)) break;
-      miner.MineClass(&root_arena, empty_prefix, roots, i);
+      miner.MineClass(root_arena, empty_prefix, roots, i);
     }
-    stats.Accumulate(miner.stats());
-    arena_bytes = static_cast<int64_t>(root_arena.allocated_bytes());
+    stats->Accumulate(miner.stats());
+    *arena_bytes = static_cast<int64_t>(root_arena->allocated_bytes());
   }
+}
 
-  SortItemsets(&result);
-  metrics.itemsets->Increment(static_cast<int64_t>(result.size()));
+/// One mining call: metrics, root build, class mining, canonical sort.
+template <typename Sink, typename RowsT>
+Sink Mine(const RowsT& rows, size_t min_support_count,
+          const EclatOptions& options) {
+  const EclatMetrics& metrics = EclatMetrics::Get();
+  obs::ScopedTimer timer(metrics.wall_ms);
+  metrics.calls->Increment();
+
+  Sink sink;
+  const size_t n = rows.num_rows;
+  metrics.txns->Increment(static_cast<int64_t>(n));
+  if (n == 0) return sink;
+  CULEVO_DCHECK(n <= UINT32_MAX);
+  MineShape shape;
+  shape.num_words = (n + 63) / 64;
+  shape.min_support = min_support_count == 0 ? 1 : min_support_count;
+  const double threshold = options.density_threshold;
+  shape.dense_min_support =
+      threshold <= 0.0
+          ? 0
+          : static_cast<size_t>(
+                std::ceil(threshold * static_cast<double>(n)));
+
+  TidArena root_arena;
+  std::vector<Node> roots;
+  BuildRoots(rows, shape, &root_arena, &roots);
+  std::sort(roots.begin(), roots.end(), NodeSupportLess);
+
+  KernelStats stats;
+  int64_t arena_bytes = 0;
+  MineRoots(std::move(roots), &root_arena, shape, options, &sink, &stats,
+            &arena_bytes);
+  sink.Finish();
+  metrics.itemsets->Increment(static_cast<int64_t>(sink.out.size()));
   metrics.dense->Increment(stats.dense_intersections);
   metrics.sparse->Increment(stats.sparse_intersections);
   metrics.mixed->Increment(stats.mixed_intersections);
   metrics.aborts->Increment(stats.early_aborts);
   metrics.arena_bytes->Increment(arena_bytes);
-  return result;
+  return sink;
+}
+
+Rows<Item, IdentityItem> RowsOf(const TransactionSet& transactions) {
+  return {transactions.offsets().data(), transactions.items().data(),
+          transactions.size(), transactions.item_universe(), {}};
+}
+
+}  // namespace
+
+std::vector<Itemset> MineEclat(const TransactionSet& transactions,
+                               size_t min_support_count,
+                               const EclatOptions& options) {
+  return Mine<ItemsetSink>(RowsOf(transactions), min_support_count, options)
+      .out;
 }
 
 std::vector<Itemset> MineEclat(const TransactionSet& transactions,
                                size_t min_support_count) {
   return MineEclat(transactions, min_support_count, EclatOptions{});
+}
+
+std::vector<size_t> MineEclatSupports(const TransactionSet& transactions,
+                                      size_t min_support_count,
+                                      const EclatOptions& options) {
+  return Mine<SupportSink>(RowsOf(transactions), min_support_count, options)
+      .out;
+}
+
+std::vector<size_t> MineEclatSupports(const RowSource& rows,
+                                      size_t min_support_count,
+                                      const EclatOptions& options) {
+  CULEVO_CHECK(rows.universe <= size_t{1} << (8 * sizeof(Item)));
+  if (rows.item_of.empty()) {
+    return Mine<SupportSink>(
+               Rows<uint32_t, IdentityItem>{
+                   rows.offsets.data(), rows.entries.data(), rows.num_rows(),
+                   rows.universe, {}},
+               min_support_count, options)
+        .out;
+  }
+  return Mine<SupportSink>(
+             Rows<uint32_t, LookupItem>{
+                 rows.offsets.data(), rows.entries.data(), rows.num_rows(),
+                 rows.universe, {rows.item_of.data()}},
+             min_support_count, options)
+      .out;
 }
 
 }  // namespace culevo

@@ -58,6 +58,23 @@ std::vector<Itemset> MineEclat(const TransactionSet& transactions,
 std::vector<Itemset> MineEclat(const TransactionSet& transactions,
                                size_t min_support_count);
 
+/// Count-only Eclat: the supports of exactly the itemsets MineEclat
+/// returns, sorted descending, without building a single Itemset. Same
+/// options, cancellation semantics and mine.eclat.* counters (itemsets and
+/// intersections are still counted). This is all a rank-frequency curve
+/// needs.
+std::vector<size_t> MineEclatSupports(const TransactionSet& transactions,
+                                      size_t min_support_count,
+                                      const EclatOptions& options = {});
+
+/// Count-only Eclat read straight from a row source: the root tid lists
+/// are scattered from `rows` without materializing any transaction. A row
+/// that repeats an item (possible under an `item_of` map) counts it once,
+/// so the supports equal those of TransactionSet::FromRows(rows).
+std::vector<size_t> MineEclatSupports(const RowSource& rows,
+                                      size_t min_support_count,
+                                      const EclatOptions& options = {});
+
 }  // namespace culevo
 
 #endif  // CULEVO_ANALYSIS_ECLAT_H_

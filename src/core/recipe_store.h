@@ -49,6 +49,13 @@ class RecipeStore {
     return {items_.data() + offsets_[i], items_.data() + offsets_[i + 1]};
   }
 
+  /// The committed recipes in CSR form: recipe i is positions()[offsets()[i]
+  /// .. offsets()[i + 1]). Excludes an open recipe.
+  std::span<const PoolPos> positions() const {
+    return {items_.data(), num_items()};
+  }
+  std::span<const uint32_t> offsets() const { return offsets_; }
+
   /// --- Open-recipe protocol -------------------------------------------
 
   /// Starts a new (empty) open recipe at the tail.

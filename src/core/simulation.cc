@@ -22,9 +22,7 @@ namespace culevo {
 TransactionSet RecipesToTransactions(const GeneratedRecipes& recipes) {
   TransactionSet out;
   out.Reserve(recipes.size());
-  for (const std::vector<IngredientId>& recipe : recipes) {
-    out.Add(std::vector<Item>(recipe.begin(), recipe.end()));
-  }
+  for (const std::vector<IngredientId>& recipe : recipes) out.Add(recipe);
   return out;
 }
 
@@ -33,63 +31,46 @@ TransactionSet RecipesToCategoryTransactions(const GeneratedRecipes& recipes,
   TransactionSet out;
   out.Reserve(recipes.size());
   for (const std::vector<IngredientId>& recipe : recipes) {
-    bool present[kNumCategories] = {};
-    int distinct = 0;
+    uint32_t mask = 0;
     for (IngredientId id : recipe) {
-      bool& seen = present[static_cast<int>(lexicon.category(id))];
-      distinct += seen ? 0 : 1;
-      seen = true;
+      mask |= uint32_t{1} << static_cast<int>(lexicon.category(id));
     }
-    std::vector<Item> items;
-    items.reserve(static_cast<size_t>(distinct));
-    for (int c = 0; c < kNumCategories; ++c) {
-      if (present[c]) items.push_back(static_cast<Item>(c));
-    }
-    out.Add(std::move(items));
+    out.AddMask(mask);
   }
   return out;
 }
 
+std::vector<Item> PositionCategories(
+    const std::vector<IngredientId>& ingredients, const Lexicon& lexicon) {
+  std::vector<Item> categories;
+  categories.reserve(ingredients.size());
+  for (IngredientId id : ingredients) {
+    categories.push_back(static_cast<Item>(lexicon.category(id)));
+  }
+  return categories;
+}
+
+RowSource StoreRows(const RecipeStore& store, std::span<const Item> item_of,
+                    size_t universe) {
+  return RowSource{store.offsets(), store.positions(), item_of, universe};
+}
+
 TransactionSet StoreTransactions(
     const RecipeStore& store, const std::vector<IngredientId>& ingredients) {
-  TransactionSet out;
-  out.Reserve(store.num_recipes());
-  std::vector<Item> items;
-  for (size_t i = 0; i < store.num_recipes(); ++i) {
-    const std::span<const PoolPos> positions = store.recipe(i);
-    items.clear();
-    items.reserve(positions.size());
-    for (PoolPos pos : positions) {
-      items.push_back(static_cast<Item>(ingredients[pos]));
-    }
-    std::sort(items.begin(), items.end());
-    out.Add(std::vector<Item>(items.begin(), items.end()));
-  }
-  return out;
+  const size_t universe =
+      ingredients.empty()
+          ? 0
+          : size_t{*std::max_element(ingredients.begin(), ingredients.end())} +
+                1;
+  return TransactionSet::FromRows(StoreRows(store, ingredients, universe));
 }
 
 TransactionSet StoreCategoryTransactions(
     const RecipeStore& store, const std::vector<IngredientId>& ingredients,
     const Lexicon& lexicon) {
-  TransactionSet out;
-  out.Reserve(store.num_recipes());
-  for (size_t i = 0; i < store.num_recipes(); ++i) {
-    bool present[kNumCategories] = {};
-    int distinct = 0;
-    for (PoolPos pos : store.recipe(i)) {
-      bool& seen =
-          present[static_cast<int>(lexicon.category(ingredients[pos]))];
-      distinct += seen ? 0 : 1;
-      seen = true;
-    }
-    std::vector<Item> items;
-    items.reserve(static_cast<size_t>(distinct));
-    for (int c = 0; c < kNumCategories; ++c) {
-      if (present[c]) items.push_back(static_cast<Item>(c));
-    }
-    out.Add(std::move(items));
-  }
-  return out;
+  const std::vector<Item> categories = PositionCategories(ingredients, lexicon);
+  return TransactionSet::FromRows(
+      StoreRows(store, categories, kNumCategories));
 }
 
 int RunReport::total_retries() const {
@@ -239,6 +220,11 @@ Result<SimulationResult> RunSimulation(const EvolutionModel& model,
   CombinationConfig mining = config.mining;
   if (pool != nullptr) mining.mining_pool = nullptr;
   mining.cancel = config.cancel;
+  // Each replica's pool is mined straight from its store, twice: over the
+  // positions themselves (relabelling items leaves every support, hence
+  // the curve, unchanged) and over the positions' categories.
+  const std::vector<Item> categories =
+      PositionCategories(context.ingredients, lexicon);
 
   const auto run_replica = [&](size_t k) {
     if (!config.shard.owns(k)) return;  // another worker's unit
@@ -282,11 +268,9 @@ Result<SimulationResult> RunSimulation(const EvolutionModel& model,
         if (status.ok()) {
           obs::ScopedTimer timer(mine_ms);
           ingredient_curves[k] = CombinationCurve(
-              StoreTransactions(store, context.ingredients), mining);
+              StoreRows(store, {}, context.ingredients.size()), mining);
           category_curves[k] = CombinationCurve(
-              StoreCategoryTransactions(store, context.ingredients,
-                                        lexicon),
-              mining);
+              StoreRows(store, categories, kNumCategories), mining);
         }
       }
       if (status.ok() || attempt >= config.max_replica_retries ||

@@ -2,6 +2,7 @@
 #define CULEVO_CORE_SIMULATION_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -182,10 +183,22 @@ TransactionSet RecipesToTransactions(const GeneratedRecipes& recipes);
 TransactionSet RecipesToCategoryTransactions(const GeneratedRecipes& recipes,
                                              const Lexicon& lexicon);
 
+/// The category of each position of a context's ingredient list.
+std::vector<Item> PositionCategories(
+    const std::vector<IngredientId>& ingredients, const Lexicon& lexicon);
+
+/// A flat recipe store as a miner row source: each position mapped through
+/// `item_of` (empty: the positions themselves are the items), every item
+/// < `universe`. The view borrows `store` and `item_of`.
+RowSource StoreRows(const RecipeStore& store, std::span<const Item> item_of,
+                    size_t universe);
+
 /// Builds the ingredient-id TransactionSet straight from a flat recipe
 /// store (positions resolved against `ingredients`, each transaction
-/// sorted). Equivalent to StoreToRecipes + RecipesToTransactions without
-/// materializing the intermediate GeneratedRecipes.
+/// sorted by a bitmap, not a comparison sort). Equivalent to
+/// StoreToRecipes + RecipesToTransactions without materializing the
+/// intermediate GeneratedRecipes. RunSimulation does not build it: it
+/// mines StoreRows directly.
 TransactionSet StoreTransactions(const RecipeStore& store,
                                  const std::vector<IngredientId>& ingredients);
 

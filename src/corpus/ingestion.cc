@@ -142,6 +142,7 @@ IncrementalCorpus IncrementalCorpus::FromCorpus(
       const std::span<const uint32_t> shard =
           corpus.recipes_of(static_cast<CuisineId>(c));
       out.shards_[ci].assign(shard.begin(), shard.end());
+      out.drained_[ci] = shard.size();
     }
   }
   if (stats.empty()) {
@@ -213,15 +214,15 @@ Status IncrementalCorpus::Add(CuisineId cuisine,
   ++stats.size_histogram[static_cast<size_t>(size)];
   stats.num_unique_ingredients = unique_[cuisine].size();
 
-  pending_transactions_[cuisine].push_back(scratch_);
   delta_.cuisine[cuisine] = true;
   IngestMetrics::Get().recipes->Increment();
   return Status::Ok();
 }
 
-std::vector<std::vector<IngredientId>>
-IncrementalCorpus::DrainNewTransactions(CuisineId cuisine) {
-  return std::exchange(pending_transactions_[cuisine], {});
+std::span<const uint32_t> IncrementalCorpus::DrainNewRecipes(
+    CuisineId cuisine) {
+  const std::span<const uint32_t> shard = shards_[cuisine];
+  return shard.subspan(std::exchange(drained_[cuisine], shard.size()));
 }
 
 namespace {

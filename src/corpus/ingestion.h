@@ -73,9 +73,9 @@ std::vector<RawRecipe> ParseRawRecipeText(std::string_view text);
 ///   - CuisineStats (count, mean, min/max, size histogram, unique count)
 ///     are maintained incrementally and stay bit-identical to what
 ///     ComputeCuisineStats would return on the materialized corpus,
-///   - newly ingested recipes queue per cuisine as mining-transaction
-///     deltas (DrainNewTransactions), so a miner's TransactionSet is
-///     extended instead of rebuilt,
+///   - each cuisine keeps a drain cursor into its shard, so the recipes
+///     ingested since the last drain (DrainNewRecipes) extend a miner's
+///     TransactionSet instead of rebuilding it,
 ///   - snapshots go through a persistent SnapshotWriter with per-cuisine
 ///     dirty tracking: clean sections reuse their cached serialization and
 ///     checksum, append-only columns resume their checksum state.
@@ -122,11 +122,16 @@ class IncrementalCorpus {
     return stats_[cuisine];
   }
 
-  /// Moves out the (sorted, unique) ingredient sets of every recipe
-  /// appended to `cuisine` since the last drain — the delta to feed a
-  /// standing TransactionSet (analysis/transactions.h has the wiring).
-  std::vector<std::vector<IngredientId>> DrainNewTransactions(
-      CuisineId cuisine);
+  /// Sorted, unique ingredient ids of recipe `index`.
+  std::span<const IngredientId> ingredients_of(uint32_t index) const {
+    return {flat_.data() + offsets_[index], flat_.data() + offsets_[index + 1]};
+  }
+
+  /// Indices of the recipes appended to `cuisine` since the last drain (or
+  /// since FromCorpus), ascending, and advances the drain cursor — the
+  /// delta to feed a standing TransactionSet (analysis/transactions.h has
+  /// the wiring). The span is valid until the next Add.
+  std::span<const uint32_t> DrainNewRecipes(CuisineId cuisine);
 
   /// Builds an owned, finalized RecipeCorpus from the current contents.
   /// The maintained columns, shards and unique lists are handed over as
@@ -166,9 +171,8 @@ class IncrementalCorpus {
   /// Exact per-cuisine mention totals (mean_recipe_size = sum / count,
   /// the same division ComputeCuisineStats performs).
   std::array<uint64_t, kNumCuisines> size_sums_{};
-  /// Undrained mining-transaction deltas per cuisine.
-  std::array<std::vector<std::vector<IngredientId>>, kNumCuisines>
-      pending_transactions_;
+  /// Per cuisine, how many shard entries DrainNewRecipes has handed out.
+  std::array<size_t, kNumCuisines> drained_{};
   std::vector<IngredientId> scratch_;
 
   SnapshotWriter writer_;

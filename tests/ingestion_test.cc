@@ -238,8 +238,10 @@ TEST(IncrementalCorpusTest, TransactionDeltasDrainOnce) {
   TransactionSet standing;
   EXPECT_EQ(AppendNewTransactions(incremental, 2, &standing), 2u);
   ASSERT_EQ(standing.size(), 2u);
-  EXPECT_EQ(standing.transaction(0), (std::vector<Item>{4, 9}));
-  EXPECT_EQ(standing.transaction(1), (std::vector<Item>{7}));
+  TransactionSet expected;
+  expected.Add({4, 9});
+  expected.Add({7});
+  EXPECT_TRUE(standing == expected);
 
   // Drained: a second drain is empty until new recipes arrive.
   EXPECT_EQ(AppendNewTransactions(incremental, 2, &standing), 0u);

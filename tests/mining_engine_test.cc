@@ -14,6 +14,7 @@
 #include "analysis/tidlist.h"
 #include "analysis/transactions.h"
 #include "obs/metrics.h"
+#include "random_transactions.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -280,25 +281,6 @@ bool SameItemsets(const std::vector<Itemset>& a,
   return true;
 }
 
-TransactionSet RandomTransactions(Rng* rng) {
-  const size_t num = 1 + rng->NextBounded(120);
-  const size_t universe = 4 + rng->NextBounded(36);
-  const size_t max_len = 1 + rng->NextBounded(10);
-  TransactionSet out;
-  out.Reserve(num);
-  for (size_t i = 0; i < num; ++i) {
-    std::vector<Item> t;
-    const size_t len = 1 + rng->NextBounded(max_len);
-    for (size_t j = 0; j < len; ++j) {
-      t.push_back(static_cast<Item>(rng->NextBounded(universe)));
-    }
-    std::sort(t.begin(), t.end());
-    t.erase(std::unique(t.begin(), t.end()), t.end());
-    out.Add(std::move(t));
-  }
-  return out;
-}
-
 TEST(MiningEngineDifferentialTest, AllPathsAgreeOnRandomDatabases) {
   ThreadPool pool(4);
   EclatOptions dense_forced;
@@ -308,13 +290,12 @@ TEST(MiningEngineDifferentialTest, AllPathsAgreeOnRandomDatabases) {
   EclatOptions parallel;
   parallel.pool = &pool;
 
-  Rng rng(20240806);
+  Rng rng(test_data::kDifferentialSeed);
   // ~200 databases x several support thresholds each.
-  for (int round = 0; round < 200; ++round) {
-    const TransactionSet transactions = RandomTransactions(&rng);
-    const size_t n = transactions.size();
-    const size_t supports[] = {1, 2, 1 + n / 20, 1 + n / 4};
-    for (const size_t min_support : supports) {
+  for (int round = 0; round < test_data::kDifferentialRounds; ++round) {
+    const TransactionSet transactions = test_data::RandomTransactions(&rng);
+    for (const size_t min_support :
+         test_data::DifferentialSupports(transactions.size())) {
       const std::vector<Itemset> apriori =
           MineApriori(transactions, min_support);
       const std::vector<Itemset> hybrid =

@@ -13,6 +13,7 @@
 #include "core/simulation.h"
 #include "lexicon/world_lexicon.h"
 #include "obs/metrics.h"
+#include "synth/generator.h"
 #include "util/rng.h"
 
 namespace culevo {
@@ -281,18 +282,14 @@ TEST(ModelEngineTest, FlatStoreMatchesCompatRecipes) {
         StoreTransactions(store, context.ingredients);
     const TransactionSet compat_t = RecipesToTransactions(recipes);
     ASSERT_EQ(flat_t.size(), compat_t.size()) << name;
-    for (size_t i = 0; i < flat_t.size(); ++i) {
-      ASSERT_EQ(flat_t.transaction(i), compat_t.transaction(i)) << name;
-    }
+    EXPECT_TRUE(flat_t == compat_t) << name;
     const TransactionSet flat_c =
         StoreCategoryTransactions(store, context.ingredients,
                                   models.lexicon());
     const TransactionSet compat_c =
         RecipesToCategoryTransactions(recipes, models.lexicon());
     ASSERT_EQ(flat_c.size(), compat_c.size()) << name;
-    for (size_t i = 0; i < flat_c.size(); ++i) {
-      ASSERT_EQ(flat_c.transaction(i), compat_c.transaction(i)) << name;
-    }
+    EXPECT_TRUE(flat_c == compat_c) << name;
   }
 }
 
@@ -308,6 +305,56 @@ TEST(ModelEngineTest, PackRecipesRoundTripsAndRejectsUnknownIds) {
   GeneratedRecipes bad = {{2, 7}};
   EXPECT_EQ(PackRecipes(bad, ingredients, &store).code(),
             StatusCode::kInvalidArgument);
+}
+
+// ---------------------------------------------------------------------------
+// Mining straight off the store: RunSimulation never builds transactions,
+// and its curves must equal mining the materialized StoreTransactions /
+// StoreCategoryTransactions of the same replica stores.
+
+TEST(ModelEngineTest, StoreMinedCurvesEqualMaterializedTransactionCurves) {
+  const GoldenModels models;
+  SynthConfig synth;
+  synth.scale = 0.02;
+  Result<RecipeCorpus> world = SynthesizeWorldCorpus(models.lexicon(), synth);
+  ASSERT_TRUE(world.ok()) << world.status();
+  SimulationConfig config;
+  config.replicas = 3;
+  config.seed = 23;
+  for (const CuisineId cuisine : {CuisineId{0}, CuisineId{9}, CuisineId{21}}) {
+    Result<CuisineContext> context = ContextFromCorpus(*world, cuisine);
+    ASSERT_TRUE(context.ok()) << context.status();
+    for (const char* name : {"CM-R", "CM-C", "CM-M", "NM"}) {
+      const EvolutionModel& model = models.by_name(name);
+      Result<SimulationResult> result =
+          RunSimulation(model, *context, models.lexicon(), config);
+      ASSERT_TRUE(result.ok()) << name << ": " << result.status();
+      std::vector<RankFrequency> categories;
+      for (int k = 0; k < config.replicas; ++k) {
+        RecipeStore store;
+        ASSERT_TRUE(model
+                        .GenerateInto(*context,
+                                      DeriveSeed(config.seed,
+                                                 static_cast<uint64_t>(k)),
+                                      &store)
+                        .ok());
+        const RankFrequency ingredient = CombinationCurve(
+            StoreTransactions(store, context->ingredients), config.mining);
+        EXPECT_EQ(result->replica_ingredient_curves[static_cast<size_t>(k)]
+                      .values(),
+                  ingredient.values())
+            << name << " cuisine " << static_cast<int>(cuisine)
+            << " replica " << k;
+        categories.push_back(CombinationCurve(
+            StoreCategoryTransactions(store, context->ingredients,
+                                      models.lexicon()),
+            config.mining));
+      }
+      EXPECT_EQ(result->category_curve.values(),
+                AverageRankFrequencies(categories).values())
+          << name << " cuisine " << static_cast<int>(cuisine);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

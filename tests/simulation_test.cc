@@ -28,9 +28,10 @@ CuisineContext SmallContext() {
 TEST(RecipesToTransactionsTest, PreservesRecipes) {
   GeneratedRecipes recipes = {{1, 2, 3}, {2, 5}};
   const TransactionSet transactions = RecipesToTransactions(recipes);
-  ASSERT_EQ(transactions.size(), 2u);
-  EXPECT_EQ(transactions.transaction(0), (std::vector<Item>{1, 2, 3}));
-  EXPECT_EQ(transactions.transaction(1), (std::vector<Item>{2, 5}));
+  TransactionSet expected;
+  expected.Add({1, 2, 3});
+  expected.Add({2, 5});
+  EXPECT_TRUE(transactions == expected);
 }
 
 TEST(RecipesToCategoryTransactionsTest, ProjectsViaLexicon) {
