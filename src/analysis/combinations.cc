@@ -18,7 +18,6 @@ namespace {
 
 EclatOptions EclatOptionsOf(const CombinationConfig& config) {
   EclatOptions options;
-  options.pool = config.mining_pool;
   options.cancel = config.cancel;
   return options;
 }

@@ -213,12 +213,7 @@ Result<SimulationResult> RunSimulation(const EvolutionModel& model,
   std::mutex journal_error_mu;
   Status journal_error;
 
-  // When the replicas themselves run on `pool`, mining must stay serial
-  // inside each replica: ThreadPool::ParallelFor is not reentrant, and
-  // nesting it can deadlock once every worker blocks on inner tasks that
-  // are queued behind other blocked workers.
   CombinationConfig mining = config.mining;
-  if (pool != nullptr) mining.mining_pool = nullptr;
   mining.cancel = config.cancel;
   // Each replica's pool is mined straight from its store, twice: over the
   // positions themselves (relabelling items leaves every support, hence

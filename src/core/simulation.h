@@ -93,11 +93,9 @@ struct ShardSpec {
 struct SimulationConfig {
   int replicas = 100;
   uint64_t seed = 42;
-  /// 5% relative support, Eclat by default. `mining.mining_pool` only
-  /// takes effect when RunSimulation itself runs serially (pool == null):
-  /// replica-level and root-class-level parallelism must not share one
-  /// pool, so RunSimulation clears the knob when replicas are parallel.
-  /// `mining.cancel` is overwritten with `cancel` below.
+  /// 5% relative support, Eclat by default. Mining is serial inside a
+  /// replica; replicas are the unit of parallelism (RunSimulation's
+  /// `pool`). `mining.cancel` is overwritten with `cancel` below.
   CombinationConfig mining;
 
   /// Cooperative cancellation/deadline token, polled at replica

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -43,7 +44,8 @@ CuisineContext SmallContext() {
 /// generate calls. Unlike the fault_injection_test variant it delegates
 /// ConfigFingerprint too: a checkpoint written through the wrapper must
 /// be resumable by the bare model, so the wrapper may not change the
-/// run's manifest identity.
+/// run's manifest identity. The fuse is atomic because replicas on a pool
+/// call GenerateInto concurrently.
 class InterruptModel : public EvolutionModel {
  public:
   InterruptModel(const EvolutionModel* inner, CancelToken* token, int fuse)
@@ -61,14 +63,14 @@ class InterruptModel : public EvolutionModel {
 
   Status GenerateInto(const CuisineContext& context, uint64_t seed,
                       RecipeStore* store) const override {
-    if (--fuse_ == 0) token_->Cancel();
+    if (fuse_.fetch_sub(1, std::memory_order_relaxed) == 1) token_->Cancel();
     return inner_->GenerateInto(context, seed, store);
   }
 
  private:
   const EvolutionModel* inner_;
   CancelToken* token_;
-  mutable int fuse_;
+  mutable std::atomic<int> fuse_;
 };
 
 /// Transparent wrapper that fails every attempt whose seed is denied,

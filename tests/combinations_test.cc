@@ -14,7 +14,6 @@
 #include "lexicon/lexicon.h"
 #include "random_transactions.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace culevo {
 namespace {
@@ -138,9 +137,6 @@ std::vector<size_t> SortedSupports(const std::vector<Itemset>& itemsets) {
 }
 
 TEST(CountOnlyMiningTest, SupportsMatchBothMinersOnDifferentialSet) {
-  ThreadPool pool(4);
-  EclatOptions pooled;
-  pooled.pool = &pool;
   Rng rng(test_data::kDifferentialSeed);
   for (int round = 0; round < test_data::kDifferentialRounds; ++round) {
     const TransactionSet transactions = test_data::RandomTransactions(&rng);
@@ -151,9 +147,7 @@ TEST(CountOnlyMiningTest, SupportsMatchBothMinersOnDifferentialSet) {
       ASSERT_EQ(eclat, SortedSupports(MineApriori(transactions, min_support)))
           << "round " << round << ", support " << min_support;
       ASSERT_EQ(MineEclatSupports(transactions, min_support), eclat)
-          << "serial, round " << round << ", support " << min_support;
-      ASSERT_EQ(MineEclatSupports(transactions, min_support, pooled), eclat)
-          << "pooled, round " << round << ", support " << min_support;
+          << "round " << round << ", support " << min_support;
     }
   }
 }
@@ -235,16 +229,11 @@ TransactionSet DedupedTransactions(const MappedRows& rows) {
 void ExpectRowsMineLikeDedupedSet(const MappedRows& rows) {
   const TransactionSet deduped = DedupedTransactions(rows);
   ASSERT_TRUE(TransactionSet::FromRows(rows.view()) == deduped);
-  ThreadPool pool(2);
-  EclatOptions pooled;
-  pooled.pool = &pool;
   for (const size_t min_support : {size_t{1}, size_t{3}, size_t{12}}) {
     const std::vector<size_t> expected =
         SortedSupports(MineApriori(deduped, min_support));
     EXPECT_EQ(MineEclatSupports(rows.view(), min_support), expected)
         << "support " << min_support;
-    EXPECT_EQ(MineEclatSupports(rows.view(), min_support, pooled), expected)
-        << "pooled, support " << min_support;
   }
 }
 

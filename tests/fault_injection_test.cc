@@ -9,13 +9,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "analysis/eclat.h"
 #include "core/copy_mutate.h"
 #include "core/null_model.h"
 #include "core/simulation.h"
 #include "lexicon/world_lexicon.h"
+#include "obs/metrics.h"
 #include "util/cancel.h"
 #include "util/failpoint.h"
 #include "util/rng.h"
@@ -352,6 +357,65 @@ TEST_F(FaultInjectionTest, EclatHonoursPreCancelledToken) {
   EXPECT_TRUE(MineEclat(transactions, 2, options).empty());
   options.cancel = nullptr;
   EXPECT_FALSE(MineEclat(transactions, 2, options).empty());
+}
+
+/// 3000 transactions, 20 draws each from 30 hot items: singleton support
+/// ~1480, pair ~730, triple ~360, quadruple ~175. At kHeavySupport every
+/// pair and most triples are frequent, so each of the 30 root classes does
+/// real work and a cancel has many class boundaries to land on.
+TransactionSet HeavyTripleWorkload() {
+  Rng rng(424242);
+  TransactionSet transactions;
+  transactions.Reserve(3000);
+  for (int i = 0; i < 3000; ++i) {
+    std::vector<Item> t;
+    for (int j = 0; j < 20; ++j) {
+      t.push_back(static_cast<Item>(rng.NextBounded(30)));
+    }
+    std::sort(t.begin(), t.end());
+    t.erase(std::unique(t.begin(), t.end()), t.end());
+    transactions.Add(std::move(t));
+  }
+  return transactions;
+}
+
+constexpr size_t kHeavySupport = 300;
+
+TEST_F(FaultInjectionTest, EclatCancelMidRunLeavesWellFormedSubset) {
+  const TransactionSet transactions = HeavyTripleWorkload();
+  const std::vector<Itemset> full = MineEclat(transactions, kHeavySupport);
+  ASSERT_GT(full.size(), 1000u);  // Triples must be in play.
+
+  // Another thread waits for the mining call to start, naps briefly and
+  // trips the token, so in the common case it lands between root classes.
+  // Wherever it lands, the contract is the same: Check() reports
+  // kCancelled, and the result is a subset of the full answer with exact
+  // supports (complete classes only, nothing torn).
+  obs::Counter* calls = obs::MetricsRegistry::Get().counter("mine.eclat.calls");
+  const int64_t calls_before = calls->Value();
+  CancelToken cancel;
+  EclatOptions options;
+  options.cancel = &cancel;
+  std::thread trip([&]() {
+    while (calls->Value() == calls_before) std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+    cancel.Cancel();
+  });
+  const std::vector<Itemset> partial =
+      MineEclat(transactions, kHeavySupport, options);
+  trip.join();
+  EXPECT_EQ(CancelToken::Check(&cancel).code(), StatusCode::kCancelled);
+  EXPECT_LE(partial.size(), full.size());
+  // Both results are sorted with ItemsetLess, so one merge scan finds
+  // every partial itemset in the full answer.
+  size_t j = 0;
+  for (const Itemset& set : partial) {
+    while (j < full.size() && ItemsetLess(full[j], set)) ++j;
+    ASSERT_LT(j, full.size()) << "partial result contains unknown itemset";
+    ASSERT_EQ(full[j].items, set.items);
+    ASSERT_EQ(full[j].support, set.support);
+    ++j;
+  }
 }
 
 TEST_F(FaultInjectionTest, RunReportToJsonRendersLedger) {

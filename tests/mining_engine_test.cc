@@ -1,7 +1,7 @@
 // Tests for the hybrid tid-list Eclat engine: intersection-kernel edge
 // cases (early-abort bound, galloping merge, arena trim/rewind) and a
-// seeded randomized differential suite asserting that the dense, sparse,
-// and parallel Eclat paths and Apriori all return identical itemsets.
+// seeded randomized differential suite asserting that the dense and sparse
+// Eclat paths and Apriori all return identical itemsets.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 #include "obs/metrics.h"
 #include "random_transactions.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace culevo {
 namespace {
@@ -282,13 +281,10 @@ bool SameItemsets(const std::vector<Itemset>& a,
 }
 
 TEST(MiningEngineDifferentialTest, AllPathsAgreeOnRandomDatabases) {
-  ThreadPool pool(4);
   EclatOptions dense_forced;
   dense_forced.density_threshold = 0.0;
   EclatOptions sparse_forced;
   sparse_forced.density_threshold = 2.0;
-  EclatOptions parallel;
-  parallel.pool = &pool;
 
   Rng rng(test_data::kDifferentialSeed);
   // ~200 databases x several support thresholds each.
@@ -311,25 +307,21 @@ TEST(MiningEngineDifferentialTest, AllPathsAgreeOnRandomDatabases) {
           apriori, MineEclat(transactions, min_support, sparse_forced)))
           << "sparse != apriori (round " << round << ", support "
           << min_support << ")";
-      ASSERT_TRUE(SameItemsets(
-          apriori, MineEclat(transactions, min_support, parallel)))
-          << "parallel != apriori (round " << round << ", support "
-          << min_support << ")";
     }
   }
 }
 
-TEST(MiningEngineTest, ParallelPathHandlesDegenerateInputs) {
-  ThreadPool pool(2);
-  EclatOptions parallel;
-  parallel.pool = &pool;
+TEST(MiningEngineTest, HandlesDegenerateInputs) {
   TransactionSet empty;
-  EXPECT_TRUE(MineEclat(empty, 1, parallel).empty());
+  EXPECT_TRUE(MineEclat(empty, 1).empty());
+  EXPECT_TRUE(MineEclatSupports(empty, 1).empty());
   TransactionSet one;
   one.Add({3});
-  const std::vector<Itemset> result = MineEclat(one, 1, parallel);
+  const std::vector<Itemset> result = MineEclat(one, 1);
   ASSERT_EQ(result.size(), 1u);
   EXPECT_EQ(result[0].items, (std::vector<Item>{3}));
+  EXPECT_EQ(result[0].support, 1u);
+  EXPECT_EQ(MineEclatSupports(one, 1), (std::vector<size_t>{1}));
 }
 
 // ---------------------------------------------------------------------------
