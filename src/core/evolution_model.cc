@@ -44,19 +44,19 @@ Result<CuisineContext> ContextFromCorpus(const RecipeCorpus& corpus,
         "mean recipe size exceeds the cuisine's ingredient count");
   }
 
-  // Presence fraction per ingredient, aligned with context.ingredients.
-  std::vector<size_t> counts(context.ingredients.size(), 0);
+  // Presence fraction per ingredient, aligned with context.ingredients:
+  // counted in a dense id-indexed table, then read out in list order. The
+  // corpus guarantees every id of the cuisine's recipes is in its unique
+  // list, so each lies at or below the list's last (largest) id.
+  std::vector<size_t> counts(static_cast<size_t>(unique.back()) + 1, 0);
   for (uint32_t index : corpus.recipes_of(cuisine)) {
-    for (IngredientId id : corpus.ingredients_of(index)) {
-      const auto it = std::lower_bound(context.ingredients.begin(),
-                                       context.ingredients.end(), id);
-      counts[static_cast<size_t>(it - context.ingredients.begin())] += 1;
-    }
+    for (IngredientId id : corpus.ingredients_of(index)) counts[id] += 1;
   }
-  context.popularity.resize(counts.size());
-  for (size_t i = 0; i < counts.size(); ++i) {
+  context.popularity.resize(context.ingredients.size());
+  for (size_t i = 0; i < context.ingredients.size(); ++i) {
     context.popularity[i] =
-        static_cast<double>(counts[i]) / static_cast<double>(n);
+        static_cast<double>(counts[context.ingredients[i]]) /
+        static_cast<double>(n);
   }
   return context;
 }

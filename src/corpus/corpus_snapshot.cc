@@ -14,6 +14,7 @@
 #include "obs/metrics.h"
 #include "util/failpoint.h"
 #include "util/file_io.h"
+#include "util/hash.h"
 #include "util/stopwatch.h"
 #include "util/strings.h"
 
@@ -36,18 +37,6 @@ constexpr uint32_t kSecStats = 4;
 constexpr uint32_t kSecShardBase = 0x100;   // + cuisine id
 constexpr uint32_t kSecUniqueBase = 0x200;  // + cuisine id; +kNumCuisines
                                             // is the corpus-wide list.
-
-constexpr uint64_t kFnvOffset = 0xCBF29CE484222325ull;
-constexpr uint64_t kFnvPrime = 0x100000001B3ull;
-
-uint64_t Fnv1a(const void* data, size_t size, uint64_t state = kFnvOffset) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    state ^= static_cast<uint64_t>(p[i]);
-    state *= kFnvPrime;
-  }
-  return state;
-}
 
 struct SnapshotMetrics {
   obs::Counter* writes;
@@ -282,6 +271,43 @@ struct SectionEntry {
 }  // namespace
 
 // ---------------------------------------------------------------------------
+// Content identity.
+
+CorpusContentState CorpusContentState::Of(const RecipeCorpus& corpus) {
+  const std::span<const IngredientId> flat = corpus.flat();
+  const std::span<const uint32_t> offsets = corpus.offsets();
+  const std::span<const CuisineId> cuisines = corpus.cuisines();
+  CorpusContentState state;
+  state.flat = Fnv1a64(flat.data(), flat.size_bytes());
+  state.offsets = Fnv1a64(offsets.data(), offsets.size_bytes());
+  state.cuisines = Fnv1a64(cuisines.data(), cuisines.size_bytes());
+  return state;
+}
+
+void CorpusContentState::Extend(const RecipeCorpus& corpus,
+                                size_t base_recipes) {
+  const std::span<const IngredientId> flat =
+      corpus.flat().subspan(corpus.offsets()[base_recipes]);
+  const std::span<const uint32_t> offsets =
+      corpus.offsets().subspan(base_recipes + 1);
+  const std::span<const CuisineId> cuisines =
+      corpus.cuisines().subspan(base_recipes);
+  this->flat = Fnv1a64(flat.data(), flat.size_bytes(), this->flat);
+  this->offsets = Fnv1a64(offsets.data(), offsets.size_bytes(), this->offsets);
+  this->cuisines =
+      Fnv1a64(cuisines.data(), cuisines.size_bytes(), this->cuisines);
+}
+
+uint64_t CorpusContentState::Fingerprint() const {
+  const uint64_t states[3] = {flat, offsets, cuisines};
+  return Fnv1a64(states, sizeof(states));
+}
+
+uint64_t CorpusContentFingerprint(const RecipeCorpus& corpus) {
+  return CorpusContentState::Of(corpus).Fingerprint();
+}
+
+// ---------------------------------------------------------------------------
 // SnapshotWriter.
 
 SnapshotWriter::Input SnapshotWriter::Input::FromCorpus(
@@ -338,7 +364,7 @@ Status SnapshotWriter::Write(const std::string& path, const Input& input,
       return;
     }
     cached->bytes = serialize();
-    cached->checksum = Fnv1a(cached->bytes.data(), cached->bytes.size());
+    cached->checksum = Fnv1a64(cached->bytes.data(), cached->bytes.size());
     cached->source_elems = source_elems;
     ++rewritten;
   };
@@ -364,8 +390,8 @@ Status SnapshotWriter::Write(const std::string& path, const Input& input,
     cached->bytes.resize(old_size + tail.size_bytes());
     std::memcpy(cached->bytes.data() + old_size, tail.data(),
                 tail.size_bytes());
-    cached->checksum = Fnv1a(cached->bytes.data() + old_size,
-                             tail.size_bytes(), cached->checksum);
+    cached->checksum = Fnv1a64(cached->bytes.data() + old_size,
+                               tail.size_bytes(), cached->checksum);
     cached->source_elems = column.size();
     ++rewritten;
   };
@@ -420,7 +446,7 @@ Status SnapshotWriter::Write(const std::string& path, const Input& input,
   AppendPod<uint32_t>(&content, static_cast<uint32_t>(kNumCuisines));
   AppendPod<uint32_t>(&content, static_cast<uint32_t>(section_count));
   AppendPod<uint64_t>(&content, file_bytes);
-  AppendPod<uint64_t>(&content, Fnv1a(table.data(), table.size()));
+  AppendPod<uint64_t>(&content, Fnv1a64(table.data(), table.size()));
   content.append(table);
   for (const CachedSection& section : sections_) {
     const size_t aligned =
@@ -521,7 +547,7 @@ Result<LoadedCorpusSnapshot> LoadCorpusSnapshot(
   if (section_count > 4096 || kHeaderBytes + table_bytes > size) {
     return truncated("section table exceeds the file");
   }
-  if (Fnv1a(data + kHeaderBytes, table_bytes) != table_checksum) {
+  if (Fnv1a64(data + kHeaderBytes, table_bytes) != table_checksum) {
     return Status::DataLoss(StrFormat(
         "%s: section-table checksum mismatch (bit rot or torn write)",
         path.c_str()));
@@ -542,7 +568,7 @@ Result<LoadedCorpusSnapshot> LoadCorpusSnapshot(
       return truncated("section extends past end of file");
     }
     if (!forced_corrupt.ok() ||
-        Fnv1a(data + entry.offset, entry.size) != entry.checksum) {
+        Fnv1a64(data + entry.offset, entry.size) != entry.checksum) {
       return Status::DataLoss(StrFormat(
           "%s: checksum mismatch in section %u (bit rot or torn write)",
           path.c_str(), entry.id));
@@ -637,6 +663,9 @@ Result<LoadedCorpusSnapshot> LoadCorpusSnapshot(
   LoadedCorpusSnapshot loaded;
   loaded.corpus = std::move(corpus).value();
   loaded.stats = std::move(stats).value();
+  // `require` pinned these sections to exactly the column bytes, and their
+  // checksums were verified above: they are the columns' content states.
+  loaded.content = {flat->checksum, offsets->checksum, cuisines->checksum};
   loaded.memory_mapped = mapped;
   loaded.file_bytes = size;
   (mapped ? metrics.mmap_loads : metrics.fallback_loads)->Increment();

@@ -61,11 +61,48 @@ struct SnapshotLoadOptions {
   bool allow_mmap = true;
 };
 
+/// Content identity of a corpus, one FNV-1a-64 state per CSR column
+/// (`flat`, `offsets`, `cuisines`; raw little-endian bytes). Every column
+/// is append-only under ingestion, so a state extends over appended
+/// recipes without rehashing the prefix: Extend() after appending is
+/// equal to Of() on the grown corpus. Each state is also byte-for-byte the
+/// checksum of that column's CULEVO-CORPUS section, which is how a
+/// snapshot load obtains it without hashing the columns a second time.
+struct CorpusContentState {
+  uint64_t flat = 0;
+  uint64_t offsets = 0;
+  uint64_t cuisines = 0;
+
+  /// Hashes every column of `corpus`. O(corpus).
+  static CorpusContentState Of(const RecipeCorpus& corpus);
+
+  /// Resumes the states over the recipes `corpus` holds past its first
+  /// `base_recipes`: `flat[offsets[base_recipes]..]`,
+  /// `offsets[base_recipes + 1..]` and `cuisines[base_recipes..]`. `*this`
+  /// must be the state of that `base_recipes`-recipe prefix. O(appended).
+  void Extend(const RecipeCorpus& corpus, size_t base_recipes);
+
+  /// The 64-bit content fingerprint: FNV-1a-64 over the three states
+  /// (flat, offsets, cuisines; 8 little-endian bytes each).
+  uint64_t Fingerprint() const;
+
+  bool operator==(const CorpusContentState&) const = default;
+};
+
+/// CorpusContentState::Of(corpus).Fingerprint(). Two corpora with equal
+/// fingerprints hold byte-identical recipe data regardless of how they
+/// were built (snapshot load, synthesis, incremental materialization).
+/// This is what a CULEVO-DELTA's `base_fingerprint` pins.
+uint64_t CorpusContentFingerprint(const RecipeCorpus& corpus);
+
 /// A corpus loaded from a snapshot, plus the precomputed per-cuisine
 /// statistics stored alongside it.
 struct LoadedCorpusSnapshot {
   RecipeCorpus corpus;
   std::vector<CuisineStats> stats;  ///< One entry per cuisine id.
+  /// The corpus's content state, taken from the verified flat / offsets /
+  /// cuisines section checksums (equal to CorpusContentState::Of(corpus)).
+  CorpusContentState content;
   bool memory_mapped = false;       ///< mmap path vs buffered fallback.
   size_t file_bytes = 0;
 };

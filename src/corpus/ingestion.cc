@@ -12,6 +12,7 @@
 #include "util/csv.h"
 #include "util/failpoint.h"
 #include "util/file_io.h"
+#include "util/hash.h"
 #include "util/strings.h"
 
 namespace culevo {
@@ -120,11 +121,15 @@ IncrementalCorpus::IncrementalCorpus() : stats_(kNumCuisines) {
 }
 
 IncrementalCorpus IncrementalCorpus::FromCorpus(
-    const RecipeCorpus& corpus, std::span<const CuisineStats> stats) {
+    const RecipeCorpus& corpus, std::span<const CuisineStats> stats,
+    const CorpusHeadroom& headroom) {
   IncrementalCorpus out;
   const std::span<const IngredientId> flat = corpus.flat();
   const std::span<const uint32_t> offsets = corpus.offsets();
   const std::span<const CuisineId> cuisines = corpus.cuisines();
+  out.flat_.reserve(flat.size() + headroom.mentions);
+  out.offsets_.reserve(offsets.size() + headroom.recipes);
+  out.cuisines_.reserve(cuisines.size() + headroom.recipes);
   out.flat_.assign(flat.begin(), flat.end());
   out.offsets_.assign(offsets.begin(), offsets.end());
   out.cuisines_.assign(cuisines.begin(), cuisines.end());
@@ -141,6 +146,7 @@ IncrementalCorpus IncrementalCorpus::FromCorpus(
     if (c < kNumCuisines) {
       const std::span<const uint32_t> shard =
           corpus.recipes_of(static_cast<CuisineId>(c));
+      out.shards_[ci].reserve(shard.size() + headroom.per_cuisine[ci]);
       out.shards_[ci].assign(shard.begin(), shard.end());
       out.drained_[ci] = shard.size();
     }
@@ -293,24 +299,18 @@ Status IncrementalCorpus::WriteSnapshot(const std::string& path,
 }
 
 // ---------------------------------------------------------------------------
-// CULEVO-DELTA 1.
+// CULEVO-DELTA 2.
 
 namespace {
 
 constexpr char kDeltaMagic[8] = {'C', 'U', 'L', 'E', 'V', 'O', 'D', 'L'};
 constexpr uint32_t kDeltaEndianProbe = 0x01020304;
-constexpr uint64_t kDeltaFnvOffset = 0xCBF29CE484222325ull;
-constexpr uint64_t kDeltaFnvPrime = 0x100000001B3ull;
-
-uint64_t DeltaFnv1a(const void* data, size_t size,
-                    uint64_t state = kDeltaFnvOffset) {
-  const unsigned char* bytes = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    state ^= bytes[i];
-    state *= kDeltaFnvPrime;
-  }
-  return state;
-}
+/// magic, version, endian probe: the bytes the checksum does not cover.
+constexpr size_t kDeltaPreambleBytes = 16;
+/// base_recipes, base_fingerprint, record_count: checksummed header.
+constexpr size_t kDeltaHeaderFieldBytes = 24;
+/// A record is at least its cuisine byte and its ingredient count.
+constexpr size_t kDeltaMinRecordBytes = sizeof(uint8_t) + sizeof(uint32_t);
 
 template <typename T>
 void DeltaAppendPod(std::string* out, T value) {
@@ -326,18 +326,15 @@ bool DeltaReadPod(std::string_view bytes, size_t* cursor, T* out) {
   return true;
 }
 
-}  // namespace
-
-uint64_t CorpusContentFingerprint(const RecipeCorpus& corpus) {
-  const std::span<const IngredientId> flat = corpus.flat();
-  const std::span<const uint32_t> offsets = corpus.offsets();
-  const std::span<const CuisineId> cuisines = corpus.cuisines();
-  uint64_t state = kDeltaFnvOffset;
-  state = DeltaFnv1a(flat.data(), flat.size_bytes(), state);
-  state = DeltaFnv1a(offsets.data(), offsets.size_bytes(), state);
-  state = DeltaFnv1a(cuisines.data(), cuisines.size_bytes(), state);
-  return state;
+/// The v2 checksum: FNV-1a-64 over the header fields after the endianness
+/// probe, resumed over the record payload. `header` starts at those
+/// fields; the stored checksum sits between them and the payload.
+uint64_t DeltaChecksum(std::string_view header, std::string_view payload) {
+  return Fnv1a64(payload.data(), payload.size(),
+                 Fnv1a64(header.data(), kDeltaHeaderFieldBytes));
 }
+
+}  // namespace
 
 Status WriteCorpusDelta(const std::string& path, const CorpusDelta& delta,
                         const SnapshotWriteOptions& options) {
@@ -367,8 +364,10 @@ Status WriteCorpusDelta(const std::string& path, const CorpusDelta& delta,
   DeltaAppendPod<uint64_t>(&content, delta.base_fingerprint);
   DeltaAppendPod<uint64_t>(&content,
                            static_cast<uint64_t>(delta.records.size()));
-  DeltaAppendPod<uint64_t>(&content,
-                           DeltaFnv1a(payload.data(), payload.size()));
+  DeltaAppendPod<uint64_t>(
+      &content,
+      DeltaChecksum(std::string_view(content).substr(kDeltaPreambleBytes),
+                    payload));
   content += payload;
 
   AtomicWriteOptions write_options;
@@ -414,8 +413,16 @@ Result<CorpusDelta> LoadCorpusDelta(const std::string& path) {
     return Status::FailedPrecondition(
         path + ": delta written with a different byte order");
   }
-  if (DeltaFnv1a(bytes.data() + cursor, bytes.size() - cursor) != checksum) {
-    return Status::DataLoss(path + ": delta payload checksum mismatch");
+  if (DeltaChecksum(bytes.substr(kDeltaPreambleBytes),
+                    bytes.substr(cursor)) != checksum) {
+    return Status::DataLoss(path + ": delta checksum mismatch");
+  }
+  // Counts are checked against the bytes that follow before anything is
+  // sized by them: a crafted count must not become a huge allocation.
+  if (record_count > (bytes.size() - cursor) / kDeltaMinRecordBytes) {
+    return Status::DataLoss(StrFormat(
+        "%s: delta header claims %llu records, more than the file holds",
+        path.c_str(), static_cast<unsigned long long>(record_count)));
   }
 
   delta.records.reserve(record_count);
@@ -432,12 +439,15 @@ Result<CorpusDelta> LoadCorpusDelta(const std::string& path) {
           StrFormat("%s: delta record cuisine id %d out of range",
                     path.c_str(), static_cast<int>(cuisine)));
     }
+    if (count > (bytes.size() - cursor) / sizeof(IngredientId)) {
+      return Status::DataLoss(StrFormat(
+          "%s: delta record claims %u ingredients, more than the file holds",
+          path.c_str(), count));
+    }
     record.cuisine = static_cast<CuisineId>(cuisine);
     record.ingredients.resize(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      if (!DeltaReadPod(bytes, &cursor, &record.ingredients[i])) {
-        return Status::DataLoss(path + ": truncated delta record");
-      }
+    for (IngredientId& id : record.ingredients) {
+      DeltaReadPod(bytes, &cursor, &id);  // In bounds: checked above.
     }
     delta.records.push_back(std::move(record));
   }

@@ -60,6 +60,16 @@ Result<RecipeCorpus> IngestRawRecipes(const std::vector<RawRecipe>& raw,
 /// '#' lines are comments.
 std::vector<RawRecipe> ParseRawRecipeText(std::string_view text);
 
+/// Capacity to reserve beyond a seed corpus for the appends that will
+/// follow (IncrementalCorpus::FromCorpus), so they reallocate no column and
+/// no shard. `mentions` counts ingredient ids before deduplication (an
+/// upper bound is fine).
+struct CorpusHeadroom {
+  size_t recipes = 0;
+  size_t mentions = 0;
+  std::array<size_t, kNumCuisines> per_cuisine{};  ///< Recipes per shard.
+};
+
 /// Append-friendly corpus for continuous million-recipe ingestion.
 ///
 /// RecipeCorpus is immutable after Build(): absorbing one new batch means
@@ -91,9 +101,11 @@ class IncrementalCorpus {
 
   /// Seeds from a finalized corpus (copies the columns and indexes).
   /// `stats` must be ComputeCuisineStats output for `corpus` when
-  /// provided; when empty it is computed here.
+  /// provided; when empty it is computed here. Adds within `headroom`
+  /// leave every column and shard buffer in place.
   static IncrementalCorpus FromCorpus(const RecipeCorpus& corpus,
-                                      std::span<const CuisineStats> stats = {});
+                                      std::span<const CuisineStats> stats = {},
+                                      const CorpusHeadroom& headroom = {});
 
   /// Appends one recipe; semantics match RecipeCorpus::Builder::Add
   /// (ingredients are copied, deduplicated and sorted; empty recipes and
@@ -102,6 +114,12 @@ class IncrementalCorpus {
 
   size_t num_recipes() const { return cuisines_.size(); }
   size_t num_mentions() const { return flat_.size(); }
+
+  /// The CSR columns, as RecipeCorpus exposes them. Valid until the next
+  /// Add that outgrows the reserved capacity.
+  std::span<const IngredientId> flat() const { return flat_; }
+  std::span<const uint32_t> offsets() const { return offsets_; }
+  std::span<const CuisineId> cuisines() const { return cuisines_; }
 
   /// Indices of all recipes in `cuisine`, ascending.
   std::span<const uint32_t> recipes_of(CuisineId cuisine) const {
@@ -181,11 +199,15 @@ class IncrementalCorpus {
   SnapshotWriter::Dirty delta_;
 };
 
-/// `CULEVO-DELTA 1` — the incremental-reload delta container.
+/// `CULEVO-DELTA 2` — the incremental-reload delta container.
 ///
 /// A delta file is a batch of appended recipes pinned to the exact corpus
-/// generation it extends: `base_recipes` and `base_fingerprint` must match
-/// the serving corpus or the consumer refuses the file. Applying a delta
+/// generation it extends: `base_recipes` and `base_fingerprint` (the
+/// per-column CorpusContentFingerprint, corpus/corpus_snapshot.h) must
+/// match the serving corpus or the consumer refuses the file. The
+/// checksum covers the header fields after the endianness probe as well
+/// as the records, and every count is bounded by the bytes left in the
+/// file before anything is allocated for it. Applying a delta
 /// is IncrementalCorpus::FromCorpus(base) + Add() per record, so the
 /// result is bit-identical to re-ingesting the combined corpus from
 /// scratch — a service can swap in the next generation without re-reading
@@ -194,13 +216,15 @@ class IncrementalCorpus {
 /// Refusal contract (mirrors the snapshot container's):
 ///   - missing file                                -> NotFound
 ///   - not a delta (bad magic)                     -> InvalidArgument
-///   - newer format version / wrong endianness     -> FailedPrecondition
-///   - truncated file or payload checksum mismatch -> DataLoss
+///   - other format version (v1 pinned the old
+///     whole-corpus fingerprint) / wrong endianness -> FailedPrecondition
+///   - truncated file, checksum mismatch, or a
+///     count larger than the bytes that follow    -> DataLoss
 ///   - base mismatch is the *caller's* refusal (the file itself is fine):
 ///     ServiceCore::ReloadDelta maps it to FailedPrecondition.
 
 /// Delta format version this build reads and writes.
-inline constexpr uint32_t kCorpusDeltaVersion = 1;
+inline constexpr uint32_t kCorpusDeltaVersion = 2;
 
 /// One appended recipe.
 struct CorpusDeltaRecord {
@@ -214,13 +238,6 @@ struct CorpusDelta {
   uint64_t base_fingerprint = 0;  ///< CorpusContentFingerprint of the base.
   std::vector<CorpusDeltaRecord> records;
 };
-
-/// Content identity of a corpus: FNV-1a-64 over the CSR columns
-/// (flat, offsets, cuisines). Two corpora with equal fingerprints hold
-/// byte-identical recipe data regardless of how they were built (snapshot
-/// load, synthesis, incremental materialization). This is what a delta's
-/// `base_fingerprint` pins.
-uint64_t CorpusContentFingerprint(const RecipeCorpus& corpus);
 
 /// Serializes and atomically writes `delta` (WriteFileAtomic underneath,
 /// like the snapshot writer).

@@ -315,8 +315,8 @@ Result<RecipeCorpus> RecipeCorpus::FromColumns(
 
   // Unique lists: sorted, and exactly the distinct ids of their scope.
   // The epoch trick keeps this one O(mentions) pass per scope instead of a
-  // sort; memory safety downstream (ContextFromCorpus indexes by
-  // lower_bound position) depends on completeness, so this is not
+  // sort; memory safety downstream (ContextFromCorpus indexes a table
+  // sized by the largest listed id) depends on completeness, so this is not
   // optional even though the checksums already caught random corruption.
   const size_t universe =
       views.flat.empty() ? 1 : UniverseOf(views.flat);

@@ -521,7 +521,10 @@ Status ServiceCore::LoadFromFile(const std::string& path) {
     next->stats = std::move(loaded->stats);
     next->index = QueryIndex::Build(next->corpus);
     next->source = path;
-    next->content_fingerprint = CorpusContentFingerprint(next->corpus);
+    // The loader derived the content state from the section checksums it
+    // verified; the columns are not hashed a second time.
+    next->content_state = loaded->content;
+    next->content_fingerprint = next->content_state.Fingerprint();
     return Install(std::move(next));
   }();
   if (status.ok()) {
@@ -564,8 +567,16 @@ Status ServiceCore::ReloadDelta(const std::string& path) {
           static_cast<unsigned long long>(current->content_fingerprint)));
     }
     CULEVO_FAILPOINT("serve.reload.delta.apply");
-    IncrementalCorpus incremental =
-        IncrementalCorpus::FromCorpus(current->corpus, current->stats);
+    // Room for the whole delta (the loader range-checked every cuisine),
+    // so the appends below reallocate no column and no shard.
+    CorpusHeadroom headroom;
+    headroom.recipes = delta->records.size();
+    for (const CorpusDeltaRecord& record : delta->records) {
+      headroom.mentions += record.ingredients.size();
+      ++headroom.per_cuisine[record.cuisine];
+    }
+    IncrementalCorpus incremental = IncrementalCorpus::FromCorpus(
+        current->corpus, current->stats, headroom);
     for (const CorpusDeltaRecord& record : delta->records) {
       CULEVO_RETURN_IF_ERROR(
           incremental.Add(record.cuisine, record.ingredients));
@@ -580,7 +591,9 @@ Status ServiceCore::ReloadDelta(const std::string& path) {
     next->index = QueryIndex::Extend(current->index, *corpus);
     next->corpus = std::move(*corpus);
     next->source = current->source + "+" + path;
-    next->content_fingerprint = CorpusContentFingerprint(next->corpus);
+    next->content_state = current->content_state;
+    next->content_state.Extend(next->corpus, current->corpus.num_recipes());
+    next->content_fingerprint = next->content_state.Fingerprint();
     CULEVO_FAILPOINT("serve.reload.install");
     return Install(std::move(next));
   }();
@@ -597,7 +610,8 @@ Status ServiceCore::InstallCorpus(RecipeCorpus corpus, std::string source) {
   auto next = std::make_shared<ServiceSnapshot>();
   next->stats = ComputeCuisineStats(corpus);
   next->index = QueryIndex::Build(corpus);
-  next->content_fingerprint = CorpusContentFingerprint(corpus);
+  next->content_state = CorpusContentState::Of(corpus);
+  next->content_fingerprint = next->content_state.Fingerprint();
   next->corpus = std::move(corpus);
   next->source = std::move(source);
   return Install(std::move(next));

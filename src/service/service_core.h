@@ -9,6 +9,7 @@
 #include <string_view>
 #include <vector>
 
+#include "corpus/corpus_snapshot.h"
 #include "corpus/corpus_stats.h"
 #include "corpus/recipe_corpus.h"
 #include "lexicon/lexicon.h"
@@ -68,8 +69,11 @@ struct ServiceSnapshot {
   QueryIndex index;
   uint64_t epoch = 0;      ///< Monotonic install counter.
   std::string source;      ///< Snapshot path or "<synthetic>".
-  /// CorpusContentFingerprint of `corpus`: the identity a reload-delta's
-  /// base must match (see ReloadDelta).
+  /// Per-column content state of `corpus` (CorpusContentState::Of), kept
+  /// so a delta reload resumes it over the appended recipes only.
+  CorpusContentState content_state;
+  /// content_state.Fingerprint(), i.e. CorpusContentFingerprint(corpus):
+  /// the identity a reload-delta's base must match (see ReloadDelta).
   uint64_t content_fingerprint = 0;
 };
 
@@ -126,8 +130,10 @@ class ServiceCore {
 
   /// Builds the next generation from the *current* generation's corpus
   /// plus a CULEVO-DELTA file — no snapshot re-read (the hot incremental
-  /// reload; `corpus.snapshot.mmap_loads` stays flat). The delta's base
-  /// recipe count and content fingerprint must match the serving
+  /// reload; `corpus.snapshot.mmap_loads` stays flat). The content state
+  /// is resumed over the delta's recipes only, and the corpus clone is
+  /// sized for the delta, so appending to it reallocates nothing. The
+  /// delta's base recipe count and content fingerprint must match the serving
   /// generation exactly; any mismatch is refused with FailedPrecondition.
   /// Like LoadFromFile, any failure at any stage of the swap leaves the
   /// old generation serving.

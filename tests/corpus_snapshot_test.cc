@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -298,6 +299,58 @@ TEST_F(CorpusSnapshotTest, EmptyCorpusRoundTrips) {
   Result<LoadedCorpusSnapshot> loaded = LoadCorpusSnapshot(path_);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(loaded->corpus.num_recipes(), 0u);
+}
+
+TEST_F(CorpusSnapshotTest, LoadDerivesContentStateFromSectionChecksums) {
+  // The loader takes the corpus's content state from the flat / offsets /
+  // cuisines section checksums instead of hashing the columns again; it
+  // must equal a full recompute on both load paths.
+  path_ = TempPath("content_state");
+  const RecipeCorpus corpus = TestCorpus();
+  SnapshotWriteOptions write;
+  write.sync = false;
+  ASSERT_TRUE(WriteCorpusSnapshot(path_, corpus, write).ok());
+  for (const bool allow_mmap : {true, false}) {
+    SCOPED_TRACE(allow_mmap ? "mmap" : "buffered");
+    SnapshotLoadOptions load;
+    load.allow_mmap = allow_mmap;
+    Result<LoadedCorpusSnapshot> loaded = LoadCorpusSnapshot(path_, load);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    EXPECT_EQ(loaded->memory_mapped, allow_mmap);
+    EXPECT_EQ(loaded->content, CorpusContentState::Of(loaded->corpus));
+    EXPECT_EQ(loaded->content, CorpusContentState::Of(corpus));
+    EXPECT_EQ(loaded->content.Fingerprint(),
+              CorpusContentFingerprint(loaded->corpus));
+  }
+}
+
+TEST(CorpusContentStateTest, ExtendEqualsRecomputeAtEveryPrefix) {
+  // Resuming the per-column states from any prefix over the rest of the
+  // corpus equals hashing the whole corpus; every column contributes.
+  const RecipeCorpus corpus = TestCorpus(60);
+  const CorpusContentState full = CorpusContentState::Of(corpus);
+  for (size_t base = 0; base <= corpus.num_recipes(); ++base) {
+    RecipeCorpus::Builder prefix;
+    for (size_t i = 0; i < base; ++i) {
+      const std::span<const IngredientId> ids =
+          corpus.ingredients_of(static_cast<uint32_t>(i));
+      ASSERT_TRUE(prefix
+                      .Add(corpus.cuisines()[i],
+                           std::vector<IngredientId>(ids.begin(), ids.end()))
+                      .ok());
+    }
+    CorpusContentState state = CorpusContentState::Of(prefix.Build());
+    state.Extend(corpus, base);
+    ASSERT_EQ(state, full) << "base " << base;
+  }
+  EXPECT_EQ(full.Fingerprint(), CorpusContentFingerprint(corpus));
+  for (uint64_t CorpusContentState::*column :
+       {&CorpusContentState::flat, &CorpusContentState::offsets,
+        &CorpusContentState::cuisines}) {
+    CorpusContentState changed = full;
+    changed.*column ^= 1;
+    EXPECT_NE(changed.Fingerprint(), full.Fingerprint());
+  }
 }
 
 }  // namespace

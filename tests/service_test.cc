@@ -3,6 +3,7 @@
 #include <atomic>
 #include <bit>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -19,6 +20,7 @@
 #include "lexicon/world_lexicon.h"
 #include "util/csv.h"
 #include "util/failpoint.h"
+#include "util/hash.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -477,6 +479,62 @@ TEST(CorpusDeltaTest, LoadRefusalMatrix) {
   write_bytes(corrupt);
   EXPECT_EQ(LoadCorpusDelta(path).status().code(), StatusCode::kDataLoss);
 
+  // Layout offsets (docs/DATA_FORMATS.md): version @8, record count @32,
+  // checksum @40 over [16, 40) then the payload from 48; the first record
+  // is a cuisine byte @48 and its u32 ingredient count @49.
+  const auto put_u32 = [](std::string* data, size_t at, uint32_t value) {
+    std::memcpy(data->data() + at, &value, sizeof(value));
+  };
+  const auto put_u64 = [](std::string* data, size_t at, uint64_t value) {
+    std::memcpy(data->data() + at, &value, sizeof(value));
+  };
+  const auto reseal = [&](std::string* data) {
+    put_u64(data, 40,
+            Fnv1a64(data->data() + 48, data->size() - 48,
+                    Fnv1a64(data->data() + 16, 24)));
+  };
+
+  // A huge header record count is covered by the checksum: DataLoss, not
+  // an allocation sized by an untrusted field.
+  corrupt = bytes;
+  put_u64(&corrupt, 32, uint64_t{1} << 62);
+  write_bytes(corrupt);
+  EXPECT_EQ(LoadCorpusDelta(path).status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(LoadCorpusDelta(path).status().message().find("checksum"),
+            std::string::npos);
+
+  // The base identity is checksummed too: a flipped fingerprint bit is
+  // DataLoss in the file, not a base mismatch at apply time.
+  std::string flipped = bytes;
+  flipped[24] ^= 0x01;
+  write_bytes(flipped);
+  EXPECT_EQ(LoadCorpusDelta(path).status().code(), StatusCode::kDataLoss);
+
+  // The same count with a recomputed checksum: refused by the bound on the
+  // bytes that follow.
+  reseal(&corrupt);
+  write_bytes(corrupt);
+  EXPECT_EQ(LoadCorpusDelta(path).status().code(), StatusCode::kDataLoss);
+
+  // A record ingredient count of 0xFFFFFFFF with a recomputed checksum.
+  corrupt = bytes;
+  put_u32(&corrupt, 49, 0xFFFFFFFFu);
+  reseal(&corrupt);
+  write_bytes(corrupt);
+  EXPECT_EQ(LoadCorpusDelta(path).status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(LoadCorpusDelta(path).status().message().find(
+                "more than the file holds"),
+            std::string::npos);
+
+  // A version-1 file (payload-only checksum, whole-corpus fingerprint):
+  // readable bytes, but a base identity this build does not define.
+  corrupt = bytes;
+  put_u32(&corrupt, 8, 1);
+  put_u64(&corrupt, 40, Fnv1a64(corrupt.data() + 48, corrupt.size() - 48));
+  write_bytes(corrupt);
+  EXPECT_EQ(LoadCorpusDelta(path).status().code(),
+            StatusCode::kFailedPrecondition);
+
   // The pristine bytes still load after all that.
   write_bytes(bytes);
   EXPECT_TRUE(LoadCorpusDelta(path).ok());
@@ -687,8 +745,15 @@ TEST(ServiceCoreTest, ReloadDeltaChainExtendsIndexBitExactly) {
   }
   Result<RecipeCorpus> base = chain.Materialize();
   ASSERT_TRUE(base.ok()) << base.status();
+  // Cold start from a snapshot: the first content state comes from the
+  // loader's section checksums, every later one is resumed per delta.
+  const std::string snapshot =
+      testing::TempDir() + "culevo_delta_chain_base.snapshot";
+  ASSERT_TRUE(WriteCorpusSnapshot(snapshot, *base, {.sync = false}).ok());
   ServiceCore core = MakeCore();
-  ASSERT_TRUE(core.InstallCorpus(*base, "base").ok());
+  ASSERT_TRUE(core.LoadFromFile(snapshot).ok());
+  std::remove(snapshot.c_str());
+  ASSERT_EQ(core.Acquire()->content_state, CorpusContentState::Of(*base));
   ASSERT_EQ(core.Acquire()->index.counts().universe(), base_universe);
   ASSERT_EQ(core.Acquire()->index.counts().recipes(late), 0u);
 
@@ -734,6 +799,7 @@ TEST(ServiceCoreTest, ReloadDeltaChainExtendsIndexBitExactly) {
     ASSERT_TRUE(after.ok());
     const std::shared_ptr<const ServiceSnapshot> served = core.Acquire();
     EXPECT_EQ(served->content_fingerprint, CorpusContentFingerprint(*after));
+    EXPECT_EQ(served->content_state, CorpusContentState::Of(*after));
     ExpectSameIndex(served->index, QueryIndex::Build(*after));
 
     ServiceCore reference = MakeCore();
