@@ -124,6 +124,12 @@ class BenchReporter {
     results_.emplace_back(name, value);
   }
 
+  /// Records a string fact about the run (commit, host), written under
+  /// `"info"`.
+  void AddInfo(const std::string& name, std::string value) {
+    info_.emplace_back(name, std::move(value));
+  }
+
   /// Records a reproduced numeric series (figure curve, table column).
   void AddSeries(const std::string& name, std::vector<double> values) {
     series_.emplace_back(name, std::move(values));
@@ -184,6 +190,16 @@ class BenchReporter {
     json.Int(static_cast<long long>(options_.seed));
     json.EndObject();
 
+    if (!info_.empty()) {
+      json.Key("info");
+      json.BeginObject();
+      for (const auto& [name, value] : info_) {
+        json.Key(name);
+        json.String(value);
+      }
+      json.EndObject();
+    }
+
     json.Key("total_seconds");
     json.Number(total_.ElapsedSeconds());
 
@@ -238,6 +254,7 @@ class BenchReporter {
   std::vector<std::pair<std::string, double>> phases_;
   std::vector<std::pair<std::string, std::vector<double>>> series_;
   std::vector<std::pair<std::string, double>> results_;
+  std::vector<std::pair<std::string, std::string>> info_;
   std::string current_phase_;
   Stopwatch phase_watch_;
   Stopwatch total_;

@@ -9,16 +9,35 @@
 // The transport is deliberately excluded: this measures the query engine
 // and the snapshot-index serving path, not Unix-socket syscalls.
 //
+// After the queries, a delta-reload phase applies a chain of --reloads
+// (default 8) CULEVO-DELTA files of --recipes / 100 recipes each (the ~1%
+// deltas of perfbench's serve_mixed), each written against the generation
+// the previous one installed, through ServiceCore::ReloadDelta. The chain
+// length sets the tail-to-base ratio the reloads run at (the tail is the
+// recipes added since the last full load): the default 8 stays below 8%;
+// more than 100 crosses the fold, where the tail outgrows the base and
+// the reload folds both into a new base.
+//
 // Reported (and written to BENCH_serve.json with --json):
 //   load_ms       — snapshot mmap load + full QueryIndex build;
 //   queries, ok_responses, error_responses — workload composition check;
 //   wall_ms, qps  — whole-workload throughput;
 //   p50_ms / p99_ms — serve.latency_ms histogram quantiles (per-request
-//                    latency as the service itself measures it).
+//                    latency as the service itself measures it);
+//   reload_ms_p50 / reload_ms_max — ReloadDelta wall time per delta, and
+//                    the series `reload_ms` of every reload in chain order;
+//   reload_folds / fold_reload_ms — reloads that folded, and the slowest;
+//   reload_<stage>_ms_p50 — the serve.reload.{read,apply,index,install}_ms
+//                    stage histograms' medians;
+//   peak_rss_mb_before_reloads / peak_rss_mb — the process's peak resident
+//                    set before and after the chain.
+// `--commit <rev>` is recorded with the host's CPU under "info".
 //
 // Cross-check inside the run (exit 1 on failure): every response must be
 // `ok ...` (or a NotFound freq miss on a random id) — anything else marks
-// the run inconsistent, since the workload only issues valid requests.
+// the run inconsistent, since the workload only issues valid requests;
+// every reload must succeed and the last generation's content fingerprint
+// must equal that of the base plus every delta's recipes, materialized.
 //
 // --assert-serve-slo turns the headline numbers into a gate (exit 1):
 // aggregate throughput >= --min-qps (default 10000) and the service-side
@@ -36,12 +55,14 @@
 // --brownout-cheap-p99-ms (default 100) — degraded service must stay
 // fast for the traffic it chose to keep.
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -49,6 +70,7 @@
 #include "bench/bench_common.h"
 #include "corpus/corpus_snapshot.h"
 #include "corpus/corpus_stats.h"
+#include "corpus/ingestion.h"
 #include "lexicon/world_lexicon.h"
 #include "obs/metrics.h"
 #include "service/service_core.h"
@@ -60,25 +82,64 @@ namespace {
 
 using namespace culevo;
 
-/// Synthetic recipe rows, same generator shape as perf_corpus so the two
-/// harnesses describe the same population.
+/// One synthetic recipe row, same generator shape as perf_corpus so the
+/// two harnesses describe the same population.
+CuisineId NextRecipe(Rng& rng, size_t universe,
+                     std::vector<IngredientId>* recipe) {
+  const uint64_t a = rng.NextBounded(kNumCuisines);
+  const uint64_t b = rng.NextBounded(kNumCuisines);
+  const size_t recipe_size = 2 + rng.NextBounded(11);
+  recipe->clear();
+  for (size_t k = 0; k < recipe_size; ++k) {
+    recipe->push_back(static_cast<IngredientId>(rng.NextBounded(universe)));
+  }
+  return static_cast<CuisineId>(std::min(a, b));
+}
+
 RecipeCorpus SynthesizeCorpus(size_t count, size_t universe, uint64_t seed) {
   Rng rng(seed);
   RecipeCorpus::Builder builder;
   builder.Reserve(count, count * 7);
   std::vector<IngredientId> recipe;
   for (size_t i = 0; i < count; ++i) {
-    const uint64_t a = rng.NextBounded(kNumCuisines);
-    const uint64_t b = rng.NextBounded(kNumCuisines);
-    const CuisineId cuisine = static_cast<CuisineId>(std::min(a, b));
-    const size_t recipe_size = 2 + rng.NextBounded(11);
-    recipe.clear();
-    for (size_t k = 0; k < recipe_size; ++k) {
-      recipe.push_back(static_cast<IngredientId>(rng.NextBounded(universe)));
-    }
+    const CuisineId cuisine = NextRecipe(rng, universe, &recipe);
     CULEVO_CHECK(builder.Add(cuisine, recipe).ok());
   }
   return builder.Build();
+}
+
+/// The records of delta `j` of the chain: `count` synthetic recipes from
+/// a per-delta seed, so the chain can be regenerated to check its result.
+std::vector<CorpusDeltaRecord> DeltaRecords(uint64_t seed, int j, size_t count,
+                                            size_t universe) {
+  Rng rng(seed + 100 + static_cast<uint64_t>(j));
+  std::vector<CorpusDeltaRecord> records(count);
+  for (CorpusDeltaRecord& record : records) {
+    record.cuisine = NextRecipe(rng, universe, &record.ingredients);
+  }
+  return records;
+}
+
+/// The process's peak resident set so far, in MB.
+double PeakRssMb() {
+  struct rusage usage {};
+  ::getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;
+}
+
+/// "<CPU model>, <n> hardware threads", from /proc/cpuinfo.
+std::string HostDescription() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  std::string model = "unknown CPU";
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      model = std::string(Trim(line.substr(line.find(':') + 1)));
+      break;
+    }
+  }
+  return StrFormat("%s, %u hardware threads", model.c_str(),
+                   std::thread::hardware_concurrency());
 }
 
 /// One deterministic mixed query, parameterized by the caller's RNG. The
@@ -116,6 +177,7 @@ int main(int argc, char** argv) {
   const size_t num_queries =
       static_cast<size_t>(options.flags.GetInt("queries", 20000));
   const int threads = static_cast<int>(options.flags.GetInt("threads", 2));
+  const int reloads = static_cast<int>(options.flags.GetInt("reloads", 8));
   const bool assert_slo = options.flags.GetBool("assert-serve-slo", false);
   const double min_qps = options.flags.GetDouble("min-qps", 10000.0);
   std::string snapshot_path = options.flags.GetString("snapshot-path", "");
@@ -123,12 +185,17 @@ int main(int argc, char** argv) {
     snapshot_path = StrFormat("/tmp/culevo_perf_serve_%d.snapshot",
                               static_cast<int>(::getpid()));
   }
-  if (num_recipes == 0 || num_queries == 0 || threads <= 0) {
-    std::fprintf(stderr, "--recipes, --queries, --threads must be positive\n");
+  if (num_recipes == 0 || num_queries == 0 || threads <= 0 || reloads < 0) {
+    std::fprintf(stderr,
+                 "--recipes, --queries, --threads must be positive and "
+                 "--reloads non-negative\n");
     return 2;
   }
 
   bench::BenchReporter reporter("perf_serve", options);
+  reporter.AddInfo("commit", options.flags.GetString("commit", "unknown"));
+  reporter.AddInfo("host", HostDescription());
+  reporter.AddInfo("compiler", __VERSION__);
   const Lexicon& lexicon = WorldLexicon();
 
   // -- Corpus + snapshot (the served artifact) -----------------------------
@@ -204,6 +271,67 @@ int main(int argc, char** argv) {
   const double p50_ms = latency.Quantile(0.50);
   const double p99_ms = latency.Quantile(0.99);
 
+  // -- Delta reloads: a chain of ~1% deltas --------------------------------
+  reporter.BeginPhase("delta_reloads");
+  const size_t delta_recipes = std::max<size_t>(1, num_recipes / 100);
+  const std::string delta_path = snapshot_path + ".delta";
+  const double rss_before_reloads_mb = PeakRssMb();
+  std::vector<double> reload_ms;
+  std::vector<double> fold_ms;
+  bool reloads_ok = true;
+  for (int j = 0; j < reloads && reloads_ok; ++j) {
+    // Pinned to the generation the previous reload installed.
+    const std::shared_ptr<const ServiceSnapshot> current = core.Acquire();
+    CorpusDelta delta;
+    delta.base_recipes = current->num_recipes();
+    delta.base_fingerprint = current->content_fingerprint;
+    delta.records = DeltaRecords(options.seed, j, delta_recipes,
+                                 lexicon.size());
+    CULEVO_CHECK(WriteCorpusDelta(delta_path, delta, write_options).ok());
+    const Stopwatch watch;
+    const Status status = core.ReloadDelta(delta_path);
+    reload_ms.push_back(watch.ElapsedMillis());
+    if (!status.ok()) {
+      std::fprintf(stderr, "RELOAD FAILURE: delta %d: %s\n", j,
+                   status.ToString().c_str());
+      reloads_ok = false;
+    } else if (core.Acquire()->index.tail().size() == 0) {
+      // The reload folded the tail into a new base.
+      fold_ms.push_back(reload_ms.back());
+    }
+  }
+  std::remove(delta_path.c_str());
+  const double peak_rss_mb = PeakRssMb();
+  if (reloads_ok && reloads > 0) {
+    // The last generation must be the base plus every delta, exactly.
+    IncrementalCorpus expected = IncrementalCorpus::FromCorpus(corpus);
+    for (int j = 0; j < reloads; ++j) {
+      for (const CorpusDeltaRecord& record :
+           DeltaRecords(options.seed, j, delta_recipes, lexicon.size())) {
+        CULEVO_CHECK(expected.Add(record.cuisine, record.ingredients).ok());
+      }
+    }
+    const uint64_t want =
+        CorpusContentFingerprint(*std::move(expected).Materialize());
+    const std::shared_ptr<const ServiceSnapshot> last = core.Acquire();
+    if (last->content_fingerprint != want) {
+      std::fprintf(stderr,
+                   "RELOAD FAILURE: %zu recipes / fingerprint %016llx after "
+                   "the chain, want %016llx\n",
+                   last->num_recipes(),
+                   static_cast<unsigned long long>(last->content_fingerprint),
+                   static_cast<unsigned long long>(want));
+      reloads_ok = false;
+    }
+  }
+  std::vector<double> sorted_ms = reload_ms;
+  std::sort(sorted_ms.begin(), sorted_ms.end());
+  const double reload_p50 =
+      sorted_ms.empty() ? 0.0 : sorted_ms[(sorted_ms.size() - 1) / 2];
+  const double reload_max = sorted_ms.empty() ? 0.0 : sorted_ms.back();
+  const double fold_max =
+      fold_ms.empty() ? 0.0 : *std::max_element(fold_ms.begin(), fold_ms.end());
+
   std::remove(snapshot_path.c_str());
 
   // -- Report --------------------------------------------------------------
@@ -214,6 +342,11 @@ int main(int argc, char** argv) {
   std::printf("%-18s %12.0f\n", "qps", qps);
   std::printf("%-18s %12.3f\n", "p50_ms", p50_ms);
   std::printf("%-18s %12.3f\n", "p99_ms", p99_ms);
+  std::printf("%-18s %12.3f\n", "reload_ms_p50", reload_p50);
+  std::printf("%-18s %12.3f\n", "reload_ms_max", reload_max);
+  std::printf("%-18s %12zu\n", "reload_folds", fold_ms.size());
+  std::printf("%-18s %12.3f\n", "fold_reload_ms", fold_max);
+  std::printf("%-18s %12.1f\n", "peak_rss_mb", peak_rss_mb);
 
   reporter.AddResult("recipes", static_cast<double>(corpus.num_recipes()));
   reporter.AddResult("threads", static_cast<double>(threads));
@@ -227,8 +360,27 @@ int main(int argc, char** argv) {
   reporter.AddResult("qps", qps);
   reporter.AddResult("p50_ms", p50_ms);
   reporter.AddResult("p99_ms", p99_ms);
+  reporter.AddResult("reloads", static_cast<double>(reload_ms.size()));
+  reporter.AddResult("delta_recipes", static_cast<double>(delta_recipes));
+  reporter.AddResult("reload_ms_p50", reload_p50);
+  reporter.AddResult("reload_ms_max", reload_max);
+  reporter.AddResult("reload_folds", static_cast<double>(fold_ms.size()));
+  reporter.AddResult("fold_reload_ms", fold_max);
+  reporter.AddResult("peak_rss_mb_before_reloads", rss_before_reloads_mb);
+  reporter.AddResult("peak_rss_mb", peak_rss_mb);
+  reporter.AddSeries("reload_ms", reload_ms);
+  for (const char* stage : {"read", "apply", "index", "install"}) {
+    const double stage_p50 =
+        obs::MetricsRegistry::Get()
+            .histogram(StrFormat("serve.reload.%s_ms", stage))
+            ->Snapshot()
+            .Quantile(0.5);
+    std::printf("%-22s %8.3f\n", StrFormat("reload_%s_ms_p50", stage).c_str(),
+                stage_p50);
+    reporter.AddResult(StrFormat("reload_%s_ms_p50", stage), stage_p50);
+  }
 
-  bool consistent = error_responses.load() == 0;
+  bool consistent = error_responses.load() == 0 && reloads_ok;
   if (!consistent) {
     std::fprintf(stderr, "SERVE FAILURE: %zu of %zu responses were errors\n",
                  error_responses.load(), served);

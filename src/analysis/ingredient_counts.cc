@@ -3,23 +3,16 @@
 #include <algorithm>
 #include <utility>
 
-#include "util/check.h"
-
 namespace culevo {
 
-void IngredientCounts::AddRecipes(const RecipeCorpus& corpus) {
-  const uint32_t first = num_recipes();
-  const size_t end = corpus.num_recipes();
-  CULEVO_CHECK(end >= first);
-  if (end == first) return;
+void IngredientCounts::AddRecipes(RecipeRun run) {
+  if (run.size() == 0) return;
 
-  // The new recipes' mentions are the tail of the flat column; widen the
-  // universe to cover them, keeping each row's existing counts.
-  const std::span<const IngredientId> added =
-      corpus.flat().subspan(corpus.offsets()[first]);
+  // Widen the universe to cover the new mentions, keeping each row's
+  // existing counts.
   const size_t universe =
       std::max(universe_, static_cast<size_t>(*std::max_element(
-                              added.begin(), added.end())) +
+                              run.flat.begin(), run.flat.end())) +
                               1);
   if (universe > universe_) {
     std::vector<uint32_t> widened((kNumCuisines + 1) * universe, 0);
@@ -31,13 +24,13 @@ void IngredientCounts::AddRecipes(const RecipeCorpus& corpus) {
     universe_ = universe;
   }
 
-  for (uint32_t r = first; r < end; ++r) {
-    const CuisineId cuisine = corpus.cuisine_of(r);
+  for (size_t r = 0; r < run.size(); ++r) {
+    const CuisineId cuisine = run.cuisines[r];
     uint32_t* row = counts_.data() + cuisine * universe_;
-    for (const IngredientId id : corpus.ingredients_of(r)) ++row[id];
+    for (const IngredientId id : run.ingredients_of(r)) ++row[id];
     ++recipes_[cuisine];
   }
-  recipes_[kNumCuisines] += static_cast<uint32_t>(end - first);
+  recipes_[kNumCuisines] += static_cast<uint32_t>(run.size());
 
   // The world row is the column sum of the cuisine rows.
   uint32_t* world = counts_.data() + kNumCuisines * universe_;

@@ -22,20 +22,20 @@ namespace culevo {
 /// it, so a corpus is counted once however many of them are needed.
 ///
 /// A corpus that only grows at the end is counted incrementally:
-/// AddRecipes counts just the recipes past the ones already counted,
-/// widening the universe when one of them uses a higher id.
+/// AddRecipes counts just the appended recipes, widening the universe when
+/// one of them uses a higher id.
 class IngredientCounts {
  public:
   /// No recipes, universe 0.
   IngredientCounts() = default;
 
   /// Counts every recipe of `corpus`.
-  explicit IngredientCounts(const RecipeCorpus& corpus) { AddRecipes(corpus); }
+  explicit IngredientCounts(const RecipeCorpus& corpus) {
+    AddRecipes(corpus.RunFrom(0));
+  }
 
-  /// Counts recipes [num_recipes(), corpus.num_recipes()) of `corpus`.
-  /// Precondition: the first num_recipes() recipes of `corpus` are the
-  /// ones counted so far.
-  void AddRecipes(const RecipeCorpus& corpus);
+  /// Counts the recipes of `run` on top of the ones counted so far.
+  void AddRecipes(RecipeRun run);
 
   /// Every counted id is below this: the highest counted id + 1, or 0.
   size_t universe() const { return universe_; }

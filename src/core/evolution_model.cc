@@ -17,12 +17,14 @@ uint64_t EvolutionModel::ConfigFingerprint() const {
   return hash;
 }
 
-Result<CuisineContext> ContextFromCorpus(const RecipeCorpus& corpus,
-                                         CuisineId cuisine) {
-  if (cuisine >= kNumCuisines) {
-    return Status::InvalidArgument("cuisine id out of range");
-  }
-  const size_t n = corpus.num_recipes_in(cuisine);
+namespace {
+
+/// The context of a cuisine of `n` recipes whose `row[id]` recipes contain
+/// ingredient `id`: the rule both entry points below share. Every recipe
+/// lists an ingredient once, so the row sum is the cuisine's mention
+/// total, the numerator of s̄.
+Result<CuisineContext> ContextFromRow(CuisineId cuisine, size_t n,
+                                      std::span<const uint32_t> row) {
   if (n == 0) {
     return Status::FailedPrecondition(
         StrFormat("cuisine %s has no recipes",
@@ -30,35 +32,56 @@ Result<CuisineContext> ContextFromCorpus(const RecipeCorpus& corpus,
   }
   CuisineContext context;
   context.cuisine = cuisine;
-  const std::span<const IngredientId> unique =
-      corpus.UniqueIngredients(cuisine);
-  context.ingredients.assign(unique.begin(), unique.end());
+  size_t mentions = 0;
+  for (size_t id = 0; id < row.size(); ++id) {
+    if (row[id] == 0) continue;
+    context.ingredients.push_back(static_cast<IngredientId>(id));
+    mentions += row[id];
+  }
   context.target_recipes = n;
   context.phi = static_cast<double>(context.ingredients.size()) /
                 static_cast<double>(n);
   context.mean_recipe_size = std::max(
-      1, static_cast<int>(std::lround(corpus.MeanRecipeSize(cuisine))));
+      1, static_cast<int>(std::lround(static_cast<double>(mentions) /
+                                      static_cast<double>(n))));
   if (static_cast<size_t>(context.mean_recipe_size) >
       context.ingredients.size()) {
     return Status::FailedPrecondition(
         "mean recipe size exceeds the cuisine's ingredient count");
   }
-
-  // Presence fraction per ingredient, aligned with context.ingredients:
-  // counted in a dense id-indexed table, then read out in list order. The
-  // corpus guarantees every id of the cuisine's recipes is in its unique
-  // list, so each lies at or below the list's last (largest) id.
-  std::vector<size_t> counts(static_cast<size_t>(unique.back()) + 1, 0);
-  for (uint32_t index : corpus.recipes_of(cuisine)) {
-    for (IngredientId id : corpus.ingredients_of(index)) counts[id] += 1;
-  }
   context.popularity.resize(context.ingredients.size());
   for (size_t i = 0; i < context.ingredients.size(); ++i) {
-    context.popularity[i] =
-        static_cast<double>(counts[context.ingredients[i]]) /
-        static_cast<double>(n);
+    context.popularity[i] = static_cast<double>(row[context.ingredients[i]]) /
+                            static_cast<double>(n);
   }
   return context;
+}
+
+}  // namespace
+
+Result<CuisineContext> ContextFromCorpus(const RecipeCorpus& corpus,
+                                         CuisineId cuisine) {
+  if (cuisine >= kNumCuisines) {
+    return Status::InvalidArgument("cuisine id out of range");
+  }
+  // Presence counts in a dense id-indexed row. The corpus guarantees every
+  // id of the cuisine's recipes is in its unique list, so each lies at or
+  // below the list's last (largest) id.
+  const std::span<const IngredientId> unique =
+      corpus.UniqueIngredients(cuisine);
+  std::vector<uint32_t> row(unique.empty() ? 0 : size_t{unique.back()} + 1, 0);
+  for (uint32_t index : corpus.recipes_of(cuisine)) {
+    for (IngredientId id : corpus.ingredients_of(index)) ++row[id];
+  }
+  return ContextFromRow(cuisine, corpus.num_recipes_in(cuisine), row);
+}
+
+Result<CuisineContext> ContextFromCounts(const IngredientCounts& counts,
+                                         CuisineId cuisine) {
+  if (cuisine >= kNumCuisines) {
+    return Status::InvalidArgument("cuisine id out of range");
+  }
+  return ContextFromRow(cuisine, counts.recipes(cuisine), counts.row(cuisine));
 }
 
 Status ValidateCuisineContext(const CuisineContext& context) {

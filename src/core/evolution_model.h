@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/ingredient_counts.h"
 #include "corpus/recipe_corpus.h"
 #include "core/fitness.h"
 #include "core/recipe_store.h"
@@ -31,6 +32,14 @@ struct CuisineContext {
 /// Extracts a CuisineContext from an empirical corpus. Returns
 /// FailedPrecondition if the cuisine is empty or s̄ exceeds |I|.
 Result<CuisineContext> ContextFromCorpus(const RecipeCorpus& corpus,
+                                         CuisineId cuisine);
+
+/// The same context from the corpus's ingredient counts. Both entry points
+/// apply one rule to the cuisine's presence-count row (ContextFromCorpus
+/// counts it first), so they are bit-identical: the ingredients are the ids
+/// with a non-zero count, each popularity is count / N, and s̄ is the row
+/// sum over N. O(universe); the corpus itself is not read.
+Result<CuisineContext> ContextFromCounts(const IngredientCounts& counts,
                                          CuisineId cuisine);
 
 /// Checks the invariants every model needs of a context: positive target,

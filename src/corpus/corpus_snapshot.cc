@@ -284,18 +284,12 @@ CorpusContentState CorpusContentState::Of(const RecipeCorpus& corpus) {
   return state;
 }
 
-void CorpusContentState::Extend(const RecipeCorpus& corpus,
-                                size_t base_recipes) {
-  const std::span<const IngredientId> flat =
-      corpus.flat().subspan(corpus.offsets()[base_recipes]);
-  const std::span<const uint32_t> offsets =
-      corpus.offsets().subspan(base_recipes + 1);
-  const std::span<const CuisineId> cuisines =
-      corpus.cuisines().subspan(base_recipes);
-  this->flat = Fnv1a64(flat.data(), flat.size_bytes(), this->flat);
+void CorpusContentState::Extend(RecipeRun run) {
+  const std::span<const uint32_t> offsets = run.offsets.subspan(1);
+  this->flat = Fnv1a64(run.flat.data(), run.flat.size_bytes(), this->flat);
   this->offsets = Fnv1a64(offsets.data(), offsets.size_bytes(), this->offsets);
   this->cuisines =
-      Fnv1a64(cuisines.data(), cuisines.size_bytes(), this->cuisines);
+      Fnv1a64(run.cuisines.data(), run.cuisines.size_bytes(), this->cuisines);
 }
 
 uint64_t CorpusContentState::Fingerprint() const {

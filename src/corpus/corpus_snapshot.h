@@ -80,7 +80,13 @@ struct CorpusContentState {
   /// `base_recipes`: `flat[offsets[base_recipes]..]`,
   /// `offsets[base_recipes + 1..]` and `cuisines[base_recipes..]`. `*this`
   /// must be the state of that `base_recipes`-recipe prefix. O(appended).
-  void Extend(const RecipeCorpus& corpus, size_t base_recipes);
+  void Extend(const RecipeCorpus& corpus, size_t base_recipes) {
+    Extend(corpus.RunFrom(static_cast<uint32_t>(base_recipes)));
+  }
+
+  /// Resumes the states over `run`, the recipes appended to the corpus
+  /// `*this` describes (its `offsets[0]` is already hashed). O(run).
+  void Extend(RecipeRun run);
 
   /// The 64-bit content fingerprint: FNV-1a-64 over the three states
   /// (flat, offsets, cuisines; 8 little-endian bytes each).

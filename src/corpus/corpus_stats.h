@@ -24,6 +24,15 @@ struct CuisineStats {
 /// empty cuisines with zero counts).
 std::vector<CuisineStats> ComputeCuisineStats(const RecipeCorpus& corpus);
 
+/// Advances `stats` (one entry per cuisine id, ComputeCuisineStats output
+/// for some corpus) by the recipes of `added`, appended to that corpus:
+/// recipe counts, min/max sizes, size histograms, and each touched
+/// cuisine's mean, the histogram's mention total over its recipe count.
+/// Distinct ingredients are not visible in `added` alone, so
+/// num_unique_ingredients is left to the caller. ComputeCuisineStats is
+/// this over all of a corpus's recipes, so the two stay bit-identical.
+void ExtendCuisineStats(RecipeRun added, std::vector<CuisineStats>* stats);
+
 /// Aggregate recipe-size histogram over the whole corpus.
 std::vector<size_t> AggregateSizeHistogram(const RecipeCorpus& corpus);
 

@@ -121,15 +121,11 @@ IncrementalCorpus::IncrementalCorpus() : stats_(kNumCuisines) {
 }
 
 IncrementalCorpus IncrementalCorpus::FromCorpus(
-    const RecipeCorpus& corpus, std::span<const CuisineStats> stats,
-    const CorpusHeadroom& headroom) {
+    const RecipeCorpus& corpus, std::span<const CuisineStats> stats) {
   IncrementalCorpus out;
   const std::span<const IngredientId> flat = corpus.flat();
   const std::span<const uint32_t> offsets = corpus.offsets();
   const std::span<const CuisineId> cuisines = corpus.cuisines();
-  out.flat_.reserve(flat.size() + headroom.mentions);
-  out.offsets_.reserve(offsets.size() + headroom.recipes);
-  out.cuisines_.reserve(cuisines.size() + headroom.recipes);
   out.flat_.assign(flat.begin(), flat.end());
   out.offsets_.assign(offsets.begin(), offsets.end());
   out.cuisines_.assign(cuisines.begin(), cuisines.end());
@@ -146,7 +142,6 @@ IncrementalCorpus IncrementalCorpus::FromCorpus(
     if (c < kNumCuisines) {
       const std::span<const uint32_t> shard =
           corpus.recipes_of(static_cast<CuisineId>(c));
-      out.shards_[ci].reserve(shard.size() + headroom.per_cuisine[ci]);
       out.shards_[ci].assign(shard.begin(), shard.end());
       out.drained_[ci] = shard.size();
     }
@@ -156,42 +151,26 @@ IncrementalCorpus IncrementalCorpus::FromCorpus(
   } else {
     out.stats_.assign(stats.begin(), stats.end());
   }
-  out.SeedSizeSums();
   return out;
-}
-
-void IncrementalCorpus::SeedSizeSums() {
-  size_sums_.fill(0);
-  for (size_t i = 0; i < cuisines_.size(); ++i) {
-    size_sums_[cuisines_[i]] += offsets_[i + 1] - offsets_[i];
-  }
 }
 
 Status IncrementalCorpus::Add(CuisineId cuisine,
                               std::span<const IngredientId> ingredients) {
-  if (cuisine >= kNumCuisines) {
-    return Status::InvalidArgument(
-        StrFormat("cuisine id %d out of range", static_cast<int>(cuisine)));
-  }
-  if (ingredients.empty()) {
-    return Status::InvalidArgument("recipe has no ingredients");
-  }
-  scratch_.assign(ingredients.begin(), ingredients.end());
-  std::sort(scratch_.begin(), scratch_.end());
-  scratch_.erase(std::unique(scratch_.begin(), scratch_.end()),
-                 scratch_.end());
-
   const uint32_t index = static_cast<uint32_t>(cuisines_.size());
-  flat_.insert(flat_.end(), scratch_.begin(), scratch_.end());
+  CULEVO_RETURN_IF_ERROR(AppendCanonicalRecipe(cuisine, ingredients, &flat_));
   offsets_.push_back(static_cast<uint32_t>(flat_.size()));
   cuisines_.push_back(cuisine);
   shards_[cuisine].push_back(index);
+  const RecipeRun added{
+      std::span<const IngredientId>(flat_).subspan(offsets_[index]),
+      std::span<const uint32_t>(offsets_).subspan(index),
+      std::span<const CuisineId>(cuisines_).subspan(index)};
 
   // Unique lists: a sorted insert only on the first sighting of an id in
   // each scope, so steady-state appends never shift the lists.
   for (const size_t scope : {static_cast<size_t>(cuisine),
                              static_cast<size_t>(kNumCuisines)}) {
-    for (const IngredientId id : scratch_) {
+    for (const IngredientId id : added.flat) {
       if (seen_[scope].size() <= id) seen_[scope].resize(id + 1, false);
       if (seen_[scope][id]) continue;
       seen_[scope][id] = true;
@@ -200,25 +179,9 @@ Status IncrementalCorpus::Add(CuisineId cuisine,
     }
   }
 
-  // Stats, maintained exactly as ComputeCuisineStats derives them.
-  CuisineStats& stats = stats_[cuisine];
-  const int size = static_cast<int>(scratch_.size());
-  ++stats.num_recipes;
-  size_sums_[cuisine] += static_cast<uint64_t>(size);
-  stats.mean_recipe_size = static_cast<double>(size_sums_[cuisine]) /
-                           static_cast<double>(stats.num_recipes);
-  if (stats.num_recipes == 1) {
-    stats.min_recipe_size = size;
-    stats.max_recipe_size = size;
-  } else {
-    stats.min_recipe_size = std::min(stats.min_recipe_size, size);
-    stats.max_recipe_size = std::max(stats.max_recipe_size, size);
-  }
-  if (static_cast<size_t>(size) >= stats.size_histogram.size()) {
-    stats.size_histogram.resize(static_cast<size_t>(size) + 1, 0);
-  }
-  ++stats.size_histogram[static_cast<size_t>(size)];
-  stats.num_unique_ingredients = unique_[cuisine].size();
+  // Stats, advanced by the rule ComputeCuisineStats derives them with.
+  ExtendCuisineStats(added, &stats_);
+  stats_[cuisine].num_unique_ingredients = unique_[cuisine].size();
 
   delta_.cuisine[cuisine] = true;
   IngestMetrics::Get().recipes->Increment();

@@ -60,16 +60,6 @@ Result<RecipeCorpus> IngestRawRecipes(const std::vector<RawRecipe>& raw,
 /// '#' lines are comments.
 std::vector<RawRecipe> ParseRawRecipeText(std::string_view text);
 
-/// Capacity to reserve beyond a seed corpus for the appends that will
-/// follow (IncrementalCorpus::FromCorpus), so they reallocate no column and
-/// no shard. `mentions` counts ingredient ids before deduplication (an
-/// upper bound is fine).
-struct CorpusHeadroom {
-  size_t recipes = 0;
-  size_t mentions = 0;
-  std::array<size_t, kNumCuisines> per_cuisine{};  ///< Recipes per shard.
-};
-
 /// Append-friendly corpus for continuous million-recipe ingestion.
 ///
 /// RecipeCorpus is immutable after Build(): absorbing one new batch means
@@ -101,11 +91,9 @@ class IncrementalCorpus {
 
   /// Seeds from a finalized corpus (copies the columns and indexes).
   /// `stats` must be ComputeCuisineStats output for `corpus` when
-  /// provided; when empty it is computed here. Adds within `headroom`
-  /// leave every column and shard buffer in place.
+  /// provided; when empty it is computed here.
   static IncrementalCorpus FromCorpus(const RecipeCorpus& corpus,
-                                      std::span<const CuisineStats> stats = {},
-                                      const CorpusHeadroom& headroom = {});
+                                      std::span<const CuisineStats> stats = {});
 
   /// Appends one recipe; semantics match RecipeCorpus::Builder::Add
   /// (ingredients are copied, deduplicated and sorted; empty recipes and
@@ -114,12 +102,6 @@ class IncrementalCorpus {
 
   size_t num_recipes() const { return cuisines_.size(); }
   size_t num_mentions() const { return flat_.size(); }
-
-  /// The CSR columns, as RecipeCorpus exposes them. Valid until the next
-  /// Add that outgrows the reserved capacity.
-  std::span<const IngredientId> flat() const { return flat_; }
-  std::span<const uint32_t> offsets() const { return offsets_; }
-  std::span<const CuisineId> cuisines() const { return cuisines_; }
 
   /// Indices of all recipes in `cuisine`, ascending.
   std::span<const uint32_t> recipes_of(CuisineId cuisine) const {
@@ -168,7 +150,6 @@ class IncrementalCorpus {
                        const SnapshotWriteOptions& options = {});
 
  private:
-  void SeedSizeSums();
   /// A RecipeCorpus owning these columns plus flattened copies of
   /// shards_ and unique_.
   RecipeCorpus Adopt(std::vector<IngredientId> flat,
@@ -186,12 +167,8 @@ class IncrementalCorpus {
   /// sorted insert runs only on first sight of an id).
   std::array<std::vector<bool>, kNumCuisines + 1> seen_;
   std::vector<CuisineStats> stats_;
-  /// Exact per-cuisine mention totals (mean_recipe_size = sum / count,
-  /// the same division ComputeCuisineStats performs).
-  std::array<uint64_t, kNumCuisines> size_sums_{};
   /// Per cuisine, how many shard entries DrainNewRecipes has handed out.
   std::array<size_t, kNumCuisines> drained_{};
-  std::vector<IngredientId> scratch_;
 
   SnapshotWriter writer_;
   /// Cuisines touched since the last successful WriteSnapshot. Columns
@@ -207,8 +184,9 @@ class IncrementalCorpus {
 /// match the serving corpus or the consumer refuses the file. The
 /// checksum covers the header fields after the endianness probe as well
 /// as the records, and every count is bounded by the bytes left in the
-/// file before anything is allocated for it. Applying a delta
-/// is IncrementalCorpus::FromCorpus(base) + Add() per record, so the
+/// file before anything is allocated for it. Applying a delta appends
+/// its records in order with Add()'s semantics (as
+/// IncrementalCorpus::FromCorpus(base) + Add() per record does), so the
 /// result is bit-identical to re-ingesting the combined corpus from
 /// scratch — a service can swap in the next generation without re-reading
 /// its full snapshot (see ServiceCore::ReloadDelta).

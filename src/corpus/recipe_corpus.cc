@@ -8,38 +8,32 @@
 
 namespace culevo {
 
-Status RecipeCorpus::Builder::Add(CuisineId cuisine,
-                                  std::vector<IngredientId> ingredients) {
+Status AppendCanonicalRecipe(CuisineId cuisine,
+                             std::span<const IngredientId> ingredients,
+                             std::vector<IngredientId>* flat) {
   if (cuisine >= kNumCuisines) {
     return Status::InvalidArgument(
         StrFormat("cuisine id %u out of range", unsigned{cuisine}));
   }
-  std::sort(ingredients.begin(), ingredients.end());
-  ingredients.erase(std::unique(ingredients.begin(), ingredients.end()),
-                    ingredients.end());
   if (ingredients.empty()) {
     return Status::InvalidArgument("recipe has no ingredients");
   }
-  flat_.insert(flat_.end(), ingredients.begin(), ingredients.end());
-  offsets_.push_back(static_cast<uint32_t>(flat_.size()));
-  cuisines_.push_back(cuisine);
+  const size_t begin = flat->size();
+  flat->insert(flat->end(), ingredients.begin(), ingredients.end());
+  const auto added = flat->begin() + static_cast<std::ptrdiff_t>(begin);
+  std::sort(added, flat->end());
+  flat->erase(std::unique(added, flat->end()), flat->end());
   return Status::Ok();
 }
 
 Status RecipeCorpus::Builder::Add(CuisineId cuisine,
+                                  std::vector<IngredientId> ingredients) {
+  return Add(cuisine, std::span<const IngredientId>(ingredients));
+}
+
+Status RecipeCorpus::Builder::Add(CuisineId cuisine,
                                   std::span<const IngredientId> ingredients) {
-  if (cuisine >= kNumCuisines) {
-    return Status::InvalidArgument(
-        StrFormat("cuisine id %u out of range", unsigned{cuisine}));
-  }
-  scratch_.assign(ingredients.begin(), ingredients.end());
-  std::sort(scratch_.begin(), scratch_.end());
-  scratch_.erase(std::unique(scratch_.begin(), scratch_.end()),
-                 scratch_.end());
-  if (scratch_.empty()) {
-    return Status::InvalidArgument("recipe has no ingredients");
-  }
-  flat_.insert(flat_.end(), scratch_.begin(), scratch_.end());
+  CULEVO_RETURN_IF_ERROR(AppendCanonicalRecipe(cuisine, ingredients, &flat_));
   offsets_.push_back(static_cast<uint32_t>(flat_.size()));
   cuisines_.push_back(cuisine);
   return Status::Ok();
@@ -86,7 +80,33 @@ RecipeCorpus RecipeCorpus::Builder::Build() {
   flat_.clear();
   offsets_ = {0};
   cuisines_.clear();
+  corpus.IndexColumns();
+  return corpus;
+}
 
+RecipeCorpus RecipeCorpus::Concat(const RecipeCorpus& base, RecipeRun run) {
+  RecipeCorpus corpus;
+  Storage& s = corpus.storage_;
+  s.flat.reserve(base.flat_.size() + run.flat.size());
+  s.flat.assign(base.flat_.begin(), base.flat_.end());
+  s.flat.insert(s.flat.end(), run.flat.begin(), run.flat.end());
+  s.offsets.reserve(base.offsets_.size() + run.size());
+  s.offsets.assign(base.offsets_.begin(), base.offsets_.end());
+  // The run's offsets, renumbered to continue the base's.
+  const uint32_t shift = static_cast<uint32_t>(base.flat_.size());
+  for (size_t i = 1; i < run.offsets.size(); ++i) {
+    s.offsets.push_back(shift + (run.offsets[i] - run.offsets[0]));
+  }
+  s.cuisines.reserve(base.cuisines_.size() + run.size());
+  s.cuisines.assign(base.cuisines_.begin(), base.cuisines_.end());
+  s.cuisines.insert(s.cuisines.end(), run.cuisines.begin(),
+                    run.cuisines.end());
+  corpus.IndexColumns();
+  return corpus;
+}
+
+void RecipeCorpus::IndexColumns() {
+  Storage& s = storage_;
   const size_t n = s.cuisines.size();
 
   // Cuisine shards: counting sort keeps each shard ascending.
@@ -106,35 +126,29 @@ RecipeCorpus RecipeCorpus::Builder::Build() {
   }
 
   // Cached unique-ingredient lists: one per cuisine plus the corpus-wide
-  // list, flattened back to back.
-  SeenScratch seen(UniverseOf(s.flat));
+  // list, flattened back to back. One pass over the recipes marks the ids
+  // each cuisine uses; each list then reads its marks in ascending order.
+  const size_t universe = UniverseOf(s.flat);
+  std::vector<uint8_t> used(kNumCuisines * universe, 0);
+  for (size_t i = 0; i < n; ++i) {
+    uint8_t* row = used.data() + size_t{s.cuisines[i]} * universe;
+    for (size_t m = s.offsets[i]; m < s.offsets[i + 1]; ++m) row[s.flat[m]] = 1;
+  }
+  std::vector<uint8_t> any(universe, 0);
   s.unique_offsets.assign(1, 0);
   s.unique_flat.clear();
   for (int c = 0; c <= kNumCuisines; ++c) {
-    seen.NextPass();
-    const size_t begin = s.unique_flat.size();
-    if (c < kNumCuisines) {
-      const size_t lo = s.shard_offsets[static_cast<size_t>(c)];
-      const size_t hi = s.shard_offsets[static_cast<size_t>(c) + 1];
-      for (size_t k = lo; k < hi; ++k) {
-        const uint32_t index = s.shard_index[k];
-        for (size_t m = s.offsets[index]; m < s.offsets[index + 1]; ++m) {
-          const IngredientId id = s.flat[m];
-          if (seen.MarkSeen(id)) s.unique_flat.push_back(id);
-        }
-      }
-    } else {
-      for (IngredientId id : s.flat) {
-        if (seen.MarkSeen(id)) s.unique_flat.push_back(id);
-      }
+    const uint8_t* row = c < kNumCuisines
+                             ? used.data() + static_cast<size_t>(c) * universe
+                             : any.data();
+    for (size_t id = 0; id < universe; ++id) {
+      if (row[id] == 0) continue;
+      s.unique_flat.push_back(static_cast<IngredientId>(id));
+      any[id] = 1;
     }
-    std::sort(s.unique_flat.begin() + static_cast<long>(begin),
-              s.unique_flat.end());
     s.unique_offsets.push_back(static_cast<uint32_t>(s.unique_flat.size()));
   }
-
-  corpus.RebindViews();
-  return corpus;
+  RebindViews();
 }
 
 void RecipeCorpus::RebindViews() {

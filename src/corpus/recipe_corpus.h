@@ -22,6 +22,32 @@ struct RecipeView {
   size_t size() const { return ingredients.size(); }
 };
 
+/// A run of consecutive recipes in CSR layout, numbered as in the corpus
+/// it belongs to: recipe i of the run has cuisine `cuisines[i]` and the
+/// mentions `offsets[i]..offsets[i + 1]` of that corpus, of which `flat`
+/// holds exactly the run's own (`flat[0]` is mention `offsets[0]`).
+/// `offsets` has one more entry than `cuisines`.
+struct RecipeRun {
+  std::span<const IngredientId> flat;
+  std::span<const uint32_t> offsets;
+  std::span<const CuisineId> cuisines;
+
+  size_t size() const { return cuisines.size(); }
+  std::span<const IngredientId> ingredients_of(size_t i) const {
+    return flat.subspan(offsets[i] - offsets[0], offsets[i + 1] - offsets[i]);
+  }
+};
+
+/// Appends one recipe's ingredients to the CSR column `flat` in the
+/// canonical form every recipe is stored in: sorted and deduplicated.
+/// Returns InvalidArgument, appending nothing, for an out-of-range cuisine
+/// or an empty ingredient list. `ingredients` must not alias `flat`.
+/// RecipeCorpus::Builder, IncrementalCorpus and the serving tail
+/// (service/query_index.h) add recipes through it.
+Status AppendCanonicalRecipe(CuisineId cuisine,
+                             std::span<const IngredientId> ingredients,
+                             std::vector<IngredientId>* flat);
+
 /// Columnar (CSR-layout) recipe store: a flat ingredient-id array plus
 /// per-recipe offsets and a parallel cuisine column, with cuisine-sharded
 /// secondary indexes (per-cuisine recipe-index shards and per-cuisine
@@ -50,9 +76,9 @@ class RecipeCorpus {
     Status Add(CuisineId cuisine, std::vector<IngredientId> ingredients);
 
     /// Allocation-light overload for hot ingestion loops: the ingredients
-    /// are copied into a reused scratch buffer for sort+dedup, so callers
-    /// feeding the builder in a loop never pay a per-recipe heap
-    /// allocation.
+    /// are sorted and deduplicated in place at the end of the flat column
+    /// (AppendCanonicalRecipe), so callers feeding the builder in a loop
+    /// never pay a per-recipe heap allocation.
     Status Add(CuisineId cuisine, std::span<const IngredientId> ingredients);
 
     /// Pre-sizes the columns for `num_recipes` recipes totalling about
@@ -71,7 +97,6 @@ class RecipeCorpus {
     std::vector<IngredientId> flat_;
     std::vector<uint32_t> offsets_ = {0};
     std::vector<CuisineId> cuisines_;
-    std::vector<IngredientId> scratch_;
   };
 
   RecipeCorpus() { RebindViews(); }
@@ -122,6 +147,20 @@ class RecipeCorpus {
   std::span<const uint32_t> offsets() const { return offsets_; }
   std::span<const CuisineId> cuisines() const { return cuisines_; }
 
+  /// Recipes [first, num_recipes()) as a run. Precondition: first <=
+  /// num_recipes().
+  RecipeRun RunFrom(uint32_t first) const {
+    return RecipeRun{flat_.subspan(offsets_[first]), offsets_.subspan(first),
+                     cuisines_.subspan(first)};
+  }
+
+  /// An owned corpus of `base`'s recipes followed by `run`'s, indexed as
+  /// Builder::Build indexes its columns. The run's recipes must already be
+  /// canonical (sorted unique ids, valid cuisines), as every RecipeRun
+  /// taken from a corpus or a serving tail is; they are copied, not
+  /// re-added. O(base + run).
+  static RecipeCorpus Concat(const RecipeCorpus& base, RecipeRun run);
+
   /// Wires a corpus directly onto externally owned column memory. `views`
   /// spans must outlive `backing`; `backing` is retained until every copy
   /// of the corpus is destroyed. Validates all structural invariants
@@ -161,6 +200,9 @@ class RecipeCorpus {
     std::vector<uint32_t> unique_offsets;
   };
 
+  /// Builds the shards and unique lists of storage_'s columns, then
+  /// points the views at storage_ (Builder::Build, Concat).
+  void IndexColumns();
   /// Points the view members at storage_ (owned mode).
   void RebindViews();
 

@@ -304,7 +304,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   const auto snapshot = core.Acquire();
-  std::cerr << "corpus ready: " << snapshot->corpus.num_recipes()
+  std::cerr << "corpus ready: " << snapshot->num_recipes()
             << " recipes from " << snapshot->source << "\n";
 
   const int rc = flags.GetBool("once", false) ? RunOnce(core)

@@ -9,9 +9,12 @@
 #include "core/null_model.h"
 #include "core/simulation.h"
 #include "corpus/corpus_snapshot.h"
+#include "corpus/corpus_stats.h"
 #include "corpus/cuisine.h"
 #include "corpus/ingestion.h"
 #include "obs/metrics.h"
+#include "obs/scoped_timer.h"
+#include "util/check.h"
 #include "util/cancel.h"
 #include "util/failpoint.h"
 #include "util/stopwatch.h"
@@ -233,19 +236,19 @@ Result<std::vector<std::string>> HandleRecipe(
   Result<long long> index = ParseInt(request.positional[0]);
   if (!index.ok()) return index.status();
   if (*index < 0 ||
-      static_cast<size_t>(*index) >= snapshot.corpus.num_recipes()) {
+      static_cast<size_t>(*index) >= snapshot.num_recipes()) {
     return Status::NotFound(
         StrFormat("recipe %lld out of range (corpus has %zu)", *index,
-                  snapshot.corpus.num_recipes()));
+                  snapshot.num_recipes()));
   }
   const uint32_t r = static_cast<uint32_t>(*index);
   std::vector<std::string> names;
-  for (IngredientId id : snapshot.corpus.ingredients_of(r)) {
+  for (IngredientId id : snapshot.index.ingredients_of(r)) {
     names.push_back(lexicon.name(id));
   }
   return std::vector<std::string>{StrFormat(
       "%s\t%s",
-      std::string(CuisineAt(snapshot.corpus.cuisine_of(r)).code).c_str(),
+      std::string(CuisineAt(snapshot.index.cuisine_of(r)).code).c_str(),
       Join(names, ", ").c_str())};
 }
 
@@ -292,12 +295,12 @@ Result<std::vector<std::string>> HandleSearch(
   rows.reserve(hits.size());
   for (uint32_t r : hits) {
     std::vector<std::string> names;
-    for (IngredientId id : snapshot.corpus.ingredients_of(r)) {
+    for (IngredientId id : snapshot.index.ingredients_of(r)) {
       names.push_back(lexicon.name(id));
     }
     rows.push_back(StrFormat(
         "%u\t%s\t%s", r,
-        std::string(CuisineAt(snapshot.corpus.cuisine_of(r)).code).c_str(),
+        std::string(CuisineAt(snapshot.index.cuisine_of(r)).code).c_str(),
         Join(names, ", ").c_str()));
   }
   return rows;
@@ -361,7 +364,7 @@ Result<std::vector<std::string>> HandleSimulate(
   if (!seed.ok()) return seed.status();
 
   Result<CuisineContext> context =
-      ContextFromCorpus(snapshot.corpus, *cuisine);
+      ContextFromCounts(snapshot.index.counts(), *cuisine);
   if (!context.ok()) return context.status();
 
   SimulationConfig config;
@@ -387,7 +390,7 @@ Result<std::vector<std::string>> HandleSimulate(
 Result<std::vector<std::string>> HandleInfo(const ServiceSnapshot& snapshot) {
   size_t populated = 0;
   for (int c = 0; c < kNumCuisines; ++c) {
-    if (snapshot.corpus.num_recipes_in(static_cast<CuisineId>(c)) > 0) {
+    if (snapshot.index.counts().recipes(static_cast<CuisineId>(c)) > 0) {
       ++populated;
     }
   }
@@ -395,8 +398,8 @@ Result<std::vector<std::string>> HandleInfo(const ServiceSnapshot& snapshot) {
       StrFormat("epoch\t%llu",
                 static_cast<unsigned long long>(snapshot.epoch)),
       StrFormat("source\t%s", snapshot.source.c_str()),
-      StrFormat("recipes\t%zu", snapshot.corpus.num_recipes()),
-      StrFormat("mentions\t%zu", snapshot.corpus.total_mentions()),
+      StrFormat("recipes\t%zu", snapshot.num_recipes()),
+      StrFormat("mentions\t%zu", snapshot.index.total_mentions()),
       StrFormat("cuisines\t%zu", populated),
       StrFormat("fingerprint\t%016llx",
                 static_cast<unsigned long long>(
@@ -500,11 +503,17 @@ bool ShouldShedExpensive(const ServiceOptions& options, int inflight,
 ServiceCore::ServiceCore(const Lexicon* lexicon, ServiceOptions options)
     : lexicon_(lexicon), options_(options) {}
 
-Status ServiceCore::Install(std::shared_ptr<const ServiceSnapshot> next) {
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  const_cast<ServiceSnapshot&>(*next).epoch = next_epoch_++;
-  snapshot_ = std::move(next);
-  return Status::Ok();
+std::shared_ptr<const ServiceSnapshot> ServiceCore::Install(
+    std::shared_ptr<ServiceSnapshot> next) {
+  std::shared_ptr<const ServiceSnapshot> previous;
+  {
+    std::lock_guard<std::mutex> lock(snapshot_mu_);
+    next->epoch = next_epoch_++;
+    previous = std::exchange(snapshot_, next);
+  }
+  // `previous` is released here, outside snapshot_mu_: when it held the
+  // last reference, the old generation's teardown holds up no Acquire().
+  return next;
 }
 
 Status ServiceCore::LoadFromFile(const std::string& path) {
@@ -513,19 +522,20 @@ Status ServiceCore::LoadFromFile(const std::string& path) {
   static obs::Counter* reload_failures =
       obs::MetricsRegistry::Get().counter("serve.reload_failures");
   Status status = [&]() -> Status {
+    const std::lock_guard<std::mutex> writer(writer_mu_);
     CULEVO_FAILPOINT("serve.reload");
     Result<LoadedCorpusSnapshot> loaded = LoadCorpusSnapshot(path);
     if (!loaded.ok()) return loaded.status();
     auto next = std::make_shared<ServiceSnapshot>();
-    next->corpus = std::move(loaded->corpus);
     next->stats = std::move(loaded->stats);
-    next->index = QueryIndex::Build(next->corpus);
+    next->index = QueryIndex::Build(std::move(loaded->corpus));
     next->source = path;
     // The loader derived the content state from the section checksums it
     // verified; the columns are not hashed a second time.
     next->content_state = loaded->content;
     next->content_fingerprint = next->content_state.Fingerprint();
-    return Install(std::move(next));
+    Install(std::move(next));
+    return Status::Ok();
   }();
   if (status.ok()) {
     reloads->Increment();
@@ -536,26 +546,45 @@ Status ServiceCore::LoadFromFile(const std::string& path) {
 }
 
 Status ServiceCore::ReloadDelta(const std::string& path) {
+  return ApplyDelta(path).status();
+}
+
+Result<std::shared_ptr<const ServiceSnapshot>> ServiceCore::ApplyDelta(
+    const std::string& path) {
   static obs::Counter* reloads =
       obs::MetricsRegistry::Get().counter("serve.reloads");
   static obs::Counter* delta_reloads =
       obs::MetricsRegistry::Get().counter("serve.delta_reloads");
   static obs::Counter* reload_failures =
       obs::MetricsRegistry::Get().counter("serve.reload_failures");
+  static obs::Histogram* read_ms =
+      obs::MetricsRegistry::Get().histogram("serve.reload.read_ms");
+  static obs::Histogram* apply_ms =
+      obs::MetricsRegistry::Get().histogram("serve.reload.apply_ms");
+  static obs::Histogram* index_ms =
+      obs::MetricsRegistry::Get().histogram("serve.reload.index_ms");
+  static obs::Histogram* install_ms =
+      obs::MetricsRegistry::Get().histogram("serve.reload.install_ms");
   // Every stage of the swap is failpoint-armable and every failure path
   // returns before Install, so the old generation keeps serving no matter
-  // where the swap dies.
-  Status status = [&]() -> Status {
+  // where the swap dies. The writer lock makes the base check and the
+  // install one step: a concurrent writer cannot install in between.
+  Result<std::shared_ptr<const ServiceSnapshot>> installed =
+      [&]() -> Result<std::shared_ptr<const ServiceSnapshot>> {
+    const std::lock_guard<std::mutex> writer(writer_mu_);
     CULEVO_FAILPOINT("serve.reload");
     const std::shared_ptr<const ServiceSnapshot> current = Acquire();
     if (current == nullptr) {
       return Status::FailedPrecondition(
           "no generation installed to apply a delta to");
     }
-    CULEVO_FAILPOINT("serve.reload.delta.read");
-    Result<CorpusDelta> delta = LoadCorpusDelta(path);
+    Result<CorpusDelta> delta = [&]() -> Result<CorpusDelta> {
+      const obs::ScopedTimer timer(read_ms);
+      CULEVO_FAILPOINT("serve.reload.delta.read");
+      return LoadCorpusDelta(path);
+    }();
     if (!delta.ok()) return delta.status();
-    if (delta->base_recipes != current->corpus.num_recipes() ||
+    if (delta->base_recipes != current->num_recipes() ||
         delta->base_fingerprint != current->content_fingerprint) {
       return Status::FailedPrecondition(StrFormat(
           "delta base mismatch: %s extends %llu recipes / fingerprint "
@@ -563,58 +592,70 @@ Status ServiceCore::ReloadDelta(const std::string& path) {
           path.c_str(),
           static_cast<unsigned long long>(delta->base_recipes),
           static_cast<unsigned long long>(delta->base_fingerprint),
-          current->corpus.num_recipes(),
+          current->num_recipes(),
           static_cast<unsigned long long>(current->content_fingerprint)));
     }
-    CULEVO_FAILPOINT("serve.reload.delta.apply");
-    // Room for the whole delta (the loader range-checked every cuisine),
-    // so the appends below reallocate no column and no shard.
-    CorpusHeadroom headroom;
-    headroom.recipes = delta->records.size();
-    for (const CorpusDeltaRecord& record : delta->records) {
-      headroom.mentions += record.ingredients.size();
-      ++headroom.per_cuisine[record.cuisine];
-    }
-    IncrementalCorpus incremental = IncrementalCorpus::FromCorpus(
-        current->corpus, current->stats, headroom);
-    for (const CorpusDeltaRecord& record : delta->records) {
-      CULEVO_RETURN_IF_ERROR(
-          incremental.Add(record.cuisine, record.ingredients));
-    }
+
+    // The next tail: a copy of the current one, which shares its storage,
+    // with the delta's recipes appended past the end the current
+    // generation reads. The base is shared as it is.
     auto next = std::make_shared<ServiceSnapshot>();
-    next->stats = incremental.stats();
-    Result<RecipeCorpus> corpus = std::move(incremental).Materialize();
-    if (!corpus.ok()) return corpus.status();
-    CULEVO_FAILPOINT("serve.reload.index");
-    // The serving index covers the new corpus's first recipes exactly:
-    // extend it by the delta instead of rebuilding.
-    next->index = QueryIndex::Extend(current->index, *corpus);
-    next->corpus = std::move(*corpus);
-    next->source = current->source + "+" + path;
-    next->content_state = current->content_state;
-    next->content_state.Extend(next->corpus, current->corpus.num_recipes());
-    next->content_fingerprint = next->content_state.Fingerprint();
+    RecipeTail tail;
+    {
+      const obs::ScopedTimer timer(apply_ms);
+      CULEVO_FAILPOINT("serve.reload.delta.apply");
+      tail = current->index.tail();
+      size_t mentions = 0;
+      for (const CorpusDeltaRecord& record : delta->records) {
+        mentions += record.ingredients.size();
+      }
+      tail.Reserve(delta->records.size(), mentions);
+      for (const CorpusDeltaRecord& record : delta->records) {
+        CULEVO_RETURN_IF_ERROR(tail.Add(record.cuisine, record.ingredients));
+      }
+      const RecipeRun added = tail.run(current->index.tail().size());
+      next->stats = current->stats;
+      ExtendCuisineStats(added, &next->stats);
+      next->content_state = current->content_state;
+      next->content_state.Extend(added);
+      next->content_fingerprint = next->content_state.Fingerprint();
+      next->source = current->source + "+" + path;
+    }
+    {
+      const obs::ScopedTimer timer(index_ms);
+      CULEVO_FAILPOINT("serve.reload.index");
+      // Shares the base, or folds a tail that outgrew it into a new one.
+      next->index = QueryIndex::Extend(current->index, std::move(tail));
+      // A cuisine's distinct ingredients are the ids its usage profile
+      // lists: those with a non-zero count.
+      for (CuisineStats& stats : next->stats) {
+        stats.num_unique_ingredients =
+            next->index.profiles().profile(stats.cuisine).ingredients.size();
+      }
+    }
+    const obs::ScopedTimer timer(install_ms);
     CULEVO_FAILPOINT("serve.reload.install");
     return Install(std::move(next));
   }();
-  if (status.ok()) {
+  if (installed.ok()) {
     reloads->Increment();
     delta_reloads->Increment();
   } else {
     reload_failures->Increment();
   }
-  return status;
+  return installed;
 }
 
 Status ServiceCore::InstallCorpus(RecipeCorpus corpus, std::string source) {
+  const std::lock_guard<std::mutex> writer(writer_mu_);
   auto next = std::make_shared<ServiceSnapshot>();
   next->stats = ComputeCuisineStats(corpus);
-  next->index = QueryIndex::Build(corpus);
   next->content_state = CorpusContentState::Of(corpus);
   next->content_fingerprint = next->content_state.Fingerprint();
-  next->corpus = std::move(corpus);
+  next->index = QueryIndex::Build(std::move(corpus));
   next->source = std::move(source);
-  return Install(std::move(next));
+  Install(std::move(next));
+  return Status::Ok();
 }
 
 std::shared_ptr<const ServiceSnapshot> ServiceCore::Acquire() const {
@@ -683,16 +724,19 @@ std::string ServiceCore::Handle(std::string_view request) {
       errors->Increment();
       return RenderError(Status::InvalidArgument("missing delta path"));
     }
-    if (Status s = ReloadDelta(parsed->positional[0]); !s.ok()) {
+    // The reply describes the generation this request installed, not
+    // whatever a later writer may have installed since.
+    Result<std::shared_ptr<const ServiceSnapshot>> swapped =
+        ApplyDelta(parsed->positional[0]);
+    if (!swapped.ok()) {
       errors->Increment();
-      return RenderError(s);
+      return RenderError(swapped.status());
     }
-    const std::shared_ptr<const ServiceSnapshot> swapped = Acquire();
     RecordLatency(timer.ElapsedMillis());
     return RenderOk(
         {StrFormat("epoch\t%llu",
-                   static_cast<unsigned long long>(swapped->epoch)),
-         StrFormat("recipes\t%zu", swapped->corpus.num_recipes())});
+                   static_cast<unsigned long long>((*swapped)->epoch)),
+         StrFormat("recipes\t%zu", (*swapped)->num_recipes())});
   }
 
   // Per-request deadline: the service default, tightened (never widened)

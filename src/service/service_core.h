@@ -59,22 +59,26 @@ struct ServiceOptions {
 bool ShouldShedExpensive(const ServiceOptions& options, int inflight,
                          double latency_ema_ms);
 
-/// One immutable generation of the service's data: the corpus, its
-/// precomputed stats, and the derived query indexes. Swapped wholesale on
-/// reload; readers that still hold the previous generation keep using it
-/// until they finish (shared_ptr refcount is the grace period).
+/// One immutable generation of the service's data: the recipes and their
+/// query indexes (a base shared with neighbouring generations plus an
+/// owned tail, see QueryIndex), the per-cuisine stats and the content
+/// identity. Swapped wholesale on reload; readers that still hold the
+/// previous generation keep using it until they finish (shared_ptr
+/// refcount is the grace period).
 struct ServiceSnapshot {
-  RecipeCorpus corpus;
   std::vector<CuisineStats> stats;  ///< One entry per cuisine id.
   QueryIndex index;
   uint64_t epoch = 0;      ///< Monotonic install counter.
   std::string source;      ///< Snapshot path or "<synthetic>".
-  /// Per-column content state of `corpus` (CorpusContentState::Of), kept
-  /// so a delta reload resumes it over the appended recipes only.
+  /// Per-column content state of the recipes (CorpusContentState::Of of
+  /// the concatenated corpus), kept so a delta reload resumes it over the
+  /// appended recipes only.
   CorpusContentState content_state;
-  /// content_state.Fingerprint(), i.e. CorpusContentFingerprint(corpus):
-  /// the identity a reload-delta's base must match (see ReloadDelta).
+  /// content_state.Fingerprint(): the identity a reload-delta's base must
+  /// match (see ReloadDelta).
   uint64_t content_fingerprint = 0;
+
+  size_t num_recipes() const { return index.num_recipes(); }
 };
 
 /// The transport-independent query engine behind `culevod`.
@@ -111,11 +115,16 @@ struct ServiceSnapshot {
 /// acquires the current snapshot once (RCU-style: one mutex-guarded
 /// shared_ptr copy) and runs entirely against that generation, so a
 /// concurrent Reload never fails or torn-reads an in-flight request.
+/// Writers (LoadFromFile, ReloadDelta, InstallCorpus) are serialized by
+/// one writer mutex, so each builds on the generation the previous one
+/// installed.
 ///
 /// Metrics: serve.requests, serve.rejects, serve.errors,
 /// serve.latency_ms, serve.latency_ema_ms, serve.inflight, serve.reloads,
 /// serve.delta_reloads, serve.reload_failures, serve.deadline_drops,
-/// serve.brownout.sheds, serve.brownout.active, serve.index.build_ms.
+/// serve.brownout.sheds, serve.brownout.active, serve.index.build_ms, and
+/// the delta-reload stage times serve.reload.read_ms,
+/// serve.reload.apply_ms, serve.reload.index_ms, serve.reload.install_ms.
 /// Failpoints: serve.reload (before any reload touches its file), plus
 /// the staged delta-swap points serve.reload.delta.read,
 /// serve.reload.delta.apply, serve.reload.index, serve.reload.install.
@@ -128,15 +137,19 @@ class ServiceCore {
   /// stays installed and keeps serving (serve.reload_failures counts it).
   Status LoadFromFile(const std::string& path);
 
-  /// Builds the next generation from the *current* generation's corpus
-  /// plus a CULEVO-DELTA file — no snapshot re-read (the hot incremental
-  /// reload; `corpus.snapshot.mmap_loads` stays flat). The content state
-  /// is resumed over the delta's recipes only, and the corpus clone is
-  /// sized for the delta, so appending to it reallocates nothing. The
-  /// delta's base recipe count and content fingerprint must match the serving
-  /// generation exactly; any mismatch is refused with FailedPrecondition.
-  /// Like LoadFromFile, any failure at any stage of the swap leaves the
-  /// old generation serving.
+  /// Builds the next generation from the *current* one plus a
+  /// CULEVO-DELTA file — no snapshot re-read (the hot incremental reload;
+  /// `corpus.snapshot.mmap_loads` stays flat). The next generation shares
+  /// the current base and the current tail's storage (QueryIndex::Extend),
+  /// so a reload writes only the delta's recipes and postings, plus the
+  /// per-cuisine tables: O(delta) amortized, whatever the tail's size.
+  /// When the delta would make the tail longer than the base, base and
+  /// tail are folded into a new owned base instead: O(corpus), once per
+  /// base-sized run of deltas, so still amortized O(delta). The content
+  /// state is resumed over the delta's recipes only. The delta's base recipe count and content
+  /// fingerprint must match the serving generation exactly; any mismatch
+  /// is refused with FailedPrecondition. Like LoadFromFile, any failure at
+  /// any stage of the swap leaves the old generation serving.
   Status ReloadDelta(const std::string& path);
 
   /// Installs an in-memory corpus (tests, benches, --synth mode).
@@ -158,12 +171,21 @@ class ServiceCore {
   }
 
  private:
-  Status Install(std::shared_ptr<const ServiceSnapshot> next);
+  /// Stamps the next epoch on `next` and publishes it; the generation it
+  /// replaces is released after the lock is dropped. Returns `next`.
+  std::shared_ptr<const ServiceSnapshot> Install(
+      std::shared_ptr<ServiceSnapshot> next);
+  /// ReloadDelta's swap, returning the generation it installed.
+  Result<std::shared_ptr<const ServiceSnapshot>> ApplyDelta(
+      const std::string& path);
   void RecordLatency(double elapsed_ms);
 
   const Lexicon* lexicon_;
   ServiceOptions options_;
 
+  /// Serializes the writers, held for a whole load or reload.
+  std::mutex writer_mu_;
+  /// Guards snapshot_ and next_epoch_; held only to copy or swap.
   mutable std::mutex snapshot_mu_;
   std::shared_ptr<const ServiceSnapshot> snapshot_;
   uint64_t next_epoch_ = 1;

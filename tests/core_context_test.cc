@@ -1,6 +1,12 @@
 #include "core/evolution_model.h"
 
+#include <bit>
+
 #include <gtest/gtest.h>
+
+#include "analysis/ingredient_counts.h"
+#include "lexicon/world_lexicon.h"
+#include "synth/generator.h"
 
 namespace culevo {
 namespace {
@@ -41,6 +47,48 @@ TEST(ContextFromCorpusTest, EmptyCuisineFails) {
 TEST(ContextFromCorpusTest, BadCuisineIdFails) {
   const RecipeCorpus corpus;
   EXPECT_FALSE(ContextFromCorpus(corpus, kNumCuisines).ok());
+}
+
+// The serving path derives a context from the counts alone; it must equal
+// the corpus-derived one bit for bit on every cuisine of a world, including
+// the refusal of an empty cuisine.
+TEST(ContextFromCountsTest, EqualsContextFromCorpusForEveryCuisine) {
+  SynthConfig config;
+  config.scale = 0.05;
+  config.seed = 7;
+  Result<RecipeCorpus> world = SynthesizeWorldCorpus(WorldLexicon(), config);
+  ASSERT_TRUE(world.ok()) << world.status();
+  const IngredientCounts counts(*world);
+  for (int c = 0; c < kNumCuisines; ++c) {
+    const CuisineId cuisine = static_cast<CuisineId>(c);
+    SCOPED_TRACE(std::string(CuisineAt(cuisine).code));
+    const Result<CuisineContext> want = ContextFromCorpus(*world, cuisine);
+    const Result<CuisineContext> got = ContextFromCounts(counts, cuisine);
+    ASSERT_TRUE(want.ok()) << want.status();
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(got->cuisine, want->cuisine);
+    EXPECT_EQ(got->ingredients, want->ingredients);
+    EXPECT_EQ(got->target_recipes, want->target_recipes);
+    EXPECT_EQ(got->mean_recipe_size, want->mean_recipe_size);
+    EXPECT_EQ(std::bit_cast<uint64_t>(got->phi),
+              std::bit_cast<uint64_t>(want->phi));
+    ASSERT_EQ(got->popularity.size(), want->popularity.size());
+    for (size_t i = 0; i < want->popularity.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(got->popularity[i]),
+                std::bit_cast<uint64_t>(want->popularity[i]))
+          << i;
+    }
+  }
+
+  RecipeCorpus::Builder builder;
+  ASSERT_TRUE(builder.Add(0, {1, 2}).ok());
+  const RecipeCorpus one_cuisine = builder.Build();
+  const IngredientCounts one_counts(one_cuisine);
+  EXPECT_EQ(ContextFromCounts(one_counts, 3).status().code(),
+            ContextFromCorpus(one_cuisine, 3).status().code());
+  EXPECT_EQ(ContextFromCounts(one_counts, 3).status().message(),
+            ContextFromCorpus(one_cuisine, 3).status().message());
+  EXPECT_FALSE(ContextFromCounts(one_counts, kNumCuisines).ok());
 }
 
 TEST(RecipesToCorpusTest, PacksRecipes) {

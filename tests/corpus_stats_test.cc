@@ -30,6 +30,38 @@ TEST(CorpusStatsTest, PerCuisineStatistics) {
   EXPECT_TRUE(stats[1].size_histogram.empty());
 }
 
+TEST(CorpusStatsTest, ExtendMatchesComputeOnTheLongerCorpus) {
+  RecipeCorpus::Builder builder;
+  ASSERT_TRUE(builder.Add(0, {1, 2}).ok());
+  ASSERT_TRUE(builder.Add(3, {9, 10, 11}).ok());
+  ASSERT_TRUE(builder.Add(0, {1, 2, 3, 4, 5, 6, 7}).ok());
+  ASSERT_TRUE(builder.Add(5, {1}).ok());
+  ASSERT_TRUE(builder.Add(0, {8}).ok());
+  const RecipeCorpus corpus = builder.Build();
+  RecipeCorpus::Builder prefix;
+  ASSERT_TRUE(prefix.Add(0, {1, 2}).ok());
+  ASSERT_TRUE(prefix.Add(3, {9, 10, 11}).ok());
+
+  std::vector<CuisineStats> stats = ComputeCuisineStats(prefix.Build());
+  ExtendCuisineStats(corpus.RunFrom(2), &stats);
+  const std::vector<CuisineStats> want = ComputeCuisineStats(corpus);
+  for (int c = 0; c < kNumCuisines; ++c) {
+    const size_t ci = static_cast<size_t>(c);
+    EXPECT_EQ(stats[ci].cuisine, want[ci].cuisine);
+    EXPECT_EQ(stats[ci].num_recipes, want[ci].num_recipes) << c;
+    EXPECT_EQ(stats[ci].mean_recipe_size, want[ci].mean_recipe_size) << c;
+    EXPECT_EQ(stats[ci].min_recipe_size, want[ci].min_recipe_size) << c;
+    EXPECT_EQ(stats[ci].max_recipe_size, want[ci].max_recipe_size) << c;
+    EXPECT_EQ(stats[ci].size_histogram, want[ci].size_histogram) << c;
+  }
+  // Distinct ingredients are the caller's: cuisine 0's stay the prefix's.
+  EXPECT_EQ(stats[0].num_unique_ingredients, 2u);
+  EXPECT_EQ(want[0].num_unique_ingredients, 8u);
+  EXPECT_EQ(stats[0].min_recipe_size, 1);
+  EXPECT_EQ(stats[0].max_recipe_size, 7);
+  EXPECT_DOUBLE_EQ(stats[0].mean_recipe_size, 10.0 / 3.0);
+}
+
 TEST(CorpusStatsTest, AggregateHistogram) {
   RecipeCorpus::Builder builder;
   ASSERT_TRUE(builder.Add(0, {1, 2}).ok());

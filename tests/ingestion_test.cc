@@ -231,58 +231,6 @@ TEST(IncrementalCorpusTest, SeedsFromCorpusAndExtends) {
                  expected.end()));
 }
 
-TEST(IncrementalCorpusTest, AddsWithinHeadroomKeepBuffersInPlace) {
-  // FromCorpus reserves the headroom it is given, so a delta reload's
-  // appends copy no column and no shard a second time.
-  Rng rng(11);
-  RecipeCorpus::Builder builder;
-  for (int i = 0; i < 300; ++i) {
-    ASSERT_TRUE(builder
-                    .Add(static_cast<CuisineId>(rng.NextBounded(4)),
-                         {static_cast<IngredientId>(rng.NextBounded(50)),
-                          static_cast<IngredientId>(50 + rng.NextBounded(50))})
-                    .ok());
-  }
-  const RecipeCorpus base = builder.Build();
-
-  std::vector<std::pair<CuisineId, std::vector<IngredientId>>> delta;
-  CorpusHeadroom headroom;
-  for (int i = 0; i < 40; ++i) {
-    const CuisineId cuisine = static_cast<CuisineId>(rng.NextBounded(4));
-    std::vector<IngredientId> ids(1 + rng.NextBounded(6));
-    for (IngredientId& id : ids) {
-      id = static_cast<IngredientId>(rng.NextBounded(120));
-    }
-    ++headroom.recipes;
-    headroom.mentions += ids.size();
-    ++headroom.per_cuisine[cuisine];
-    delta.emplace_back(cuisine, std::move(ids));
-  }
-
-  IncrementalCorpus incremental =
-      IncrementalCorpus::FromCorpus(base, {}, headroom);
-  const IngredientId* flat = incremental.flat().data();
-  const uint32_t* offsets = incremental.offsets().data();
-  const CuisineId* cuisines = incremental.cuisines().data();
-  std::array<const uint32_t*, kNumCuisines> shards;
-  for (int c = 0; c < kNumCuisines; ++c) {
-    shards[static_cast<size_t>(c)] =
-        incremental.recipes_of(static_cast<CuisineId>(c)).data();
-  }
-  for (const auto& [cuisine, ids] : delta) {
-    ASSERT_TRUE(incremental.Add(cuisine, ids).ok());
-  }
-  EXPECT_EQ(incremental.num_recipes(), base.num_recipes() + delta.size());
-  EXPECT_EQ(incremental.flat().data(), flat);
-  EXPECT_EQ(incremental.offsets().data(), offsets);
-  EXPECT_EQ(incremental.cuisines().data(), cuisines);
-  for (int c = 0; c < kNumCuisines; ++c) {
-    EXPECT_EQ(incremental.recipes_of(static_cast<CuisineId>(c)).data(),
-              shards[static_cast<size_t>(c)])
-        << "cuisine " << c;
-  }
-}
-
 TEST(IncrementalCorpusTest, TransactionDeltasDrainOnce) {
   IncrementalCorpus incremental;
   ASSERT_TRUE(incremental.Add(2, std::vector<IngredientId>{9, 4}).ok());

@@ -109,6 +109,39 @@ TEST(RecipeCorpusTest, BuilderIsReusableAfterBuild) {
 
 // The span accessors must survive copies and moves: the views have to be
 // re-pointed at the destination's own storage, never at the source's.
+TEST(RecipeCorpusTest, ConcatEqualsOneBuild) {
+  const RecipeCorpus base = SmallCorpus();
+  RecipeCorpus::Builder more;
+  ASSERT_TRUE(more.Add(2, {9, 1}).ok());
+  ASSERT_TRUE(more.Add(0, {4, 2}).ok());
+  const RecipeCorpus added = more.Build();
+  RecipeCorpus::Builder all;
+  ASSERT_TRUE(all.Add(0, {3, 1, 2}).ok());
+  ASSERT_TRUE(all.Add(0, {2, 2, 5}).ok());
+  ASSERT_TRUE(all.Add(1, {7}).ok());
+  ASSERT_TRUE(all.Add(2, {9, 1}).ok());
+  ASSERT_TRUE(all.Add(0, {4, 2}).ok());
+  const RecipeCorpus want = all.Build();
+
+  // A run numbered from its own corpus's start, and one taken past the
+  // first recipe: both are renumbered to continue the base.
+  for (const auto& [run, from] :
+       {std::pair{added.RunFrom(0), 0u}, std::pair{want.RunFrom(3), 3u}}) {
+    const RecipeCorpus got = RecipeCorpus::Concat(base, run);
+    EXPECT_FALSE(got.borrowed());
+    EXPECT_EQ(ToVec(got.flat()), ToVec(want.flat())) << from;
+    EXPECT_EQ(ToVec(got.offsets()), ToVec(want.offsets())) << from;
+    EXPECT_EQ(ToVec(got.cuisines()), ToVec(want.cuisines())) << from;
+    for (CuisineId c = 0; c < kNumCuisines; ++c) {
+      EXPECT_EQ(ToVec(got.recipes_of(c)), ToVec(want.recipes_of(c))) << c;
+      EXPECT_EQ(ToVec(got.UniqueIngredients(c)),
+                ToVec(want.UniqueIngredients(c)))
+          << c;
+    }
+    EXPECT_EQ(ToVec(got.UniqueIngredients()), ToVec(want.UniqueIngredients()));
+  }
+}
+
 TEST(RecipeCorpusTest, CopyRebindsViews) {
   RecipeCorpus original = SmallCorpus();
   RecipeCorpus copy = original;

@@ -1,5 +1,6 @@
 #include "service/service_core.h"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdio>
@@ -7,6 +8,7 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -550,7 +552,7 @@ TEST(ServiceCoreTest, ReloadDeltaMatchesMonolithicBuildBitExactly) {
   const std::shared_ptr<const ServiceSnapshot> swapped = core.Acquire();
   EXPECT_EQ(swapped->epoch, 2u);
   EXPECT_EQ(swapped->source, "base+" + path);
-  EXPECT_EQ(swapped->corpus.num_recipes(), 7u);
+  EXPECT_EQ(swapped->num_recipes(), 7u);
   EXPECT_EQ(swapped->content_fingerprint,
             CorpusContentFingerprint(CombinedCorpus()));
 
@@ -651,8 +653,22 @@ TEST(ServiceCoreTest, ReloadDeltaThroughRequestGrammar) {
 
 uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
 
+/// One logical posting list, base half then tail half.
+std::vector<uint32_t> Flatten(const PostingList& list) {
+  std::vector<uint32_t> out(list.base.begin(), list.base.end());
+  out.insert(out.end(), list.tail.begin(), list.tail.end());
+  return out;
+}
+
 void ExpectSameIndex(const QueryIndex& got, const QueryIndex& want) {
   ASSERT_EQ(got.num_recipes(), want.num_recipes());
+  EXPECT_EQ(got.total_mentions(), want.total_mentions());
+  for (uint32_t r = 0; r < want.num_recipes(); ++r) {
+    ASSERT_EQ(got.cuisine_of(r), want.cuisine_of(r)) << r;
+    ASSERT_TRUE(std::ranges::equal(got.ingredients_of(r),
+                                   want.ingredients_of(r)))
+        << r;
+  }
   const IngredientCounts& got_counts = got.counts();
   const IngredientCounts& want_counts = want.counts();
   ASSERT_EQ(got_counts.universe(), want_counts.universe());
@@ -713,10 +729,103 @@ void ExpectSameIndex(const QueryIndex& got, const QueryIndex& want) {
     }
   }
   for (size_t id = 0; id <= want_counts.universe(); ++id) {
-    EXPECT_TRUE(std::ranges::equal(got.Postings(static_cast<IngredientId>(id)),
-                                   want.Postings(static_cast<IngredientId>(id))))
+    EXPECT_EQ(Flatten(got.Postings(static_cast<IngredientId>(id))),
+              Flatten(want.Postings(static_cast<IngredientId>(id))))
         << id;
   }
+}
+
+/// No default deadline: `simulate` must not race the clock under a
+/// sanitizer, or the two cores compared below could disagree on timing.
+ServiceCore MakeUndeadlinedCore() {
+  ServiceOptions options;
+  options.default_deadline_ms = 0;
+  return MakeCore(options);
+}
+
+/// The first field of every row of `response` as a recipe index.
+std::vector<uint32_t> HitIndices(const std::string& response) {
+  std::vector<uint32_t> hits;
+  for (const std::string& row : Rows(response)) {
+    hits.push_back(static_cast<uint32_t>(std::stoul(Split(row, '\t')[0])));
+  }
+  return hits;
+}
+
+/// Checks the generation `core` serves against a fresh InstallCorpus of
+/// `after`, the materialized corpus it must equal: content identity, every
+/// index table, and the answers of `requests` plus the requests that read
+/// across the base/tail seam — recipes on both sides of it, a search whose
+/// hits straddle it, a cuisine-filtered search whose limit cuts inside the
+/// tail, `simulate` for every cuisine, and `info`.
+void ExpectServesLike(ServiceCore& core, const RecipeCorpus& after,
+                      std::vector<std::string> requests) {
+  const std::shared_ptr<const ServiceSnapshot> served = core.Acquire();
+  EXPECT_EQ(served->content_fingerprint, CorpusContentFingerprint(after));
+  EXPECT_EQ(served->content_state, CorpusContentState::Of(after));
+  ExpectSameIndex(served->index, QueryIndex::Build(after));
+
+  ServiceCore reference = MakeUndeadlinedCore();
+  ASSERT_TRUE(reference.InstallCorpus(after, "base").ok());
+  const uint32_t base_n = served->index.tail().first();
+  const uint32_t n = static_cast<uint32_t>(after.num_recipes());
+  requests.push_back(StrFormat("recipe %u", base_n - 1));
+  requests.push_back(StrFormat("recipe %u", base_n));
+  for (int c = 0; c < kNumCuisines; ++c) {
+    const std::string simulate = "simulate " +
+                                 Code(static_cast<CuisineId>(c)) +
+                                 " CM-R replicas=2 seed=7";
+    if (after.num_recipes_in(static_cast<CuisineId>(c)) > 0) {
+      EXPECT_TRUE(StartsWith(reference.Handle(simulate), "ok ")) << simulate;
+    }
+    requests.push_back(simulate);
+  }
+  for (const std::string& request : requests) {
+    EXPECT_EQ(core.Handle(request), reference.Handle(request)) << request;
+  }
+  const std::vector<std::string> info = Rows(core.Handle("info"));
+  const std::vector<std::string> want_info = Rows(reference.Handle("info"));
+  ASSERT_EQ(info.size(), 6u);
+  ASSERT_EQ(want_info.size(), 6u);
+  // Rows 0 and 1 are the epoch and the source, which differ by design.
+  for (size_t row = 2; row < info.size(); ++row) {
+    EXPECT_EQ(info[row], want_info[row]);
+  }
+  if (base_n == n) return;  // just folded: no tail to read across
+
+  // Two ids of the first tail recipe: hits on both sides of the seam.
+  const std::span<const IngredientId> first_tail = after.ingredients_of(base_n);
+  const std::string straddle =
+      first_tail.size() > 1
+          ? StrFormat("search #%u,#%u limit=100", first_tail[0], first_tail[1])
+          : StrFormat("search #%u limit=100", first_tail[0]);
+  const std::string want_straddle = reference.Handle(straddle);
+  const std::vector<uint32_t> hits = HitIndices(want_straddle);
+  ASSERT_FALSE(hits.empty());
+  EXPECT_LT(hits.front(), base_n) << straddle;
+  EXPECT_GE(hits.back(), base_n) << straddle;
+  EXPECT_EQ(core.Handle(straddle), want_straddle);
+
+  // One id of the last recipe within its cuisine, limited to one hit past
+  // the base's: the last recipe is a tail hit, so the cut falls inside the
+  // tail.
+  const uint32_t last = n - 1;
+  const IngredientId id = after.ingredients_of(last)[0];
+  const CuisineId cuisine = after.cuisine_of(last);
+  size_t base_hits = 0;
+  for (uint32_t r : after.recipes_of(cuisine)) {
+    const std::span<const IngredientId> ids = after.ingredients_of(r);
+    if (r < base_n && std::binary_search(ids.begin(), ids.end(), id)) {
+      ++base_hits;
+    }
+  }
+  ASSERT_LE(base_hits + 1, ServiceOptions{}.max_results);
+  const std::string cut = StrFormat("search #%u cuisine=%s limit=%zu", id,
+                                    Code(cuisine).c_str(), base_hits + 1);
+  const std::string want_cut = reference.Handle(cut);
+  ASSERT_EQ(HitIndices(want_cut).size(), base_hits + 1) << cut;
+  EXPECT_GE(HitIndices(want_cut).back(), base_n) << cut;
+  EXPECT_EQ(core.Handle(cut), want_cut);
 }
 
 TEST(ServiceCoreTest, ReloadDeltaChainExtendsIndexBitExactly) {
@@ -750,7 +859,7 @@ TEST(ServiceCoreTest, ReloadDeltaChainExtendsIndexBitExactly) {
   const std::string snapshot =
       testing::TempDir() + "culevo_delta_chain_base.snapshot";
   ASSERT_TRUE(WriteCorpusSnapshot(snapshot, *base, {.sync = false}).ok());
-  ServiceCore core = MakeCore();
+  ServiceCore core = MakeUndeadlinedCore();
   ASSERT_TRUE(core.LoadFromFile(snapshot).ok());
   std::remove(snapshot.c_str());
   ASSERT_EQ(core.Acquire()->content_state, CorpusContentState::Of(*base));
@@ -797,13 +906,8 @@ TEST(ServiceCoreTest, ReloadDeltaChainExtendsIndexBitExactly) {
 
     Result<RecipeCorpus> after = chain.Materialize();
     ASSERT_TRUE(after.ok());
-    const std::shared_ptr<const ServiceSnapshot> served = core.Acquire();
-    EXPECT_EQ(served->content_fingerprint, CorpusContentFingerprint(*after));
-    EXPECT_EQ(served->content_state, CorpusContentState::Of(*after));
-    ExpectSameIndex(served->index, QueryIndex::Build(*after));
-
-    ServiceCore reference = MakeCore();
-    ASSERT_TRUE(reference.InstallCorpus(*after, "base").ok());
+    // The tail holds every delta so far; the base is the snapshot's.
+    EXPECT_EQ(core.Acquire()->index.tail().first(), base->num_recipes());
     std::vector<std::string> requests = {
         "recipe 0", StrFormat("recipe %zu", after->num_recipes() - 1),
         StrFormat("search #%u,#%u", top - 1, top - 2),
@@ -821,13 +925,173 @@ TEST(ServiceCoreTest, ReloadDeltaChainExtendsIndexBitExactly) {
         requests.push_back(StrFormat("freq %s #%u", code.c_str(), id));
       }
     }
-    for (const std::string& request : requests) {
-      EXPECT_EQ(core.Handle(request), reference.Handle(request)) << request;
-    }
+    ExpectServesLike(core, *after, std::move(requests));
   }
   // The chain really grew the universe and filled the empty cuisine.
   EXPECT_EQ(core.Acquire()->index.counts().universe(), lexicon_size);
   EXPECT_GT(core.Acquire()->index.counts().recipes(late), 0u);
+}
+
+// A delta that would make the tail longer than its base folds both into a
+// new owned base; until then consecutive generations share one base. The
+// answers stay bit-identical across every fold.
+TEST(ServiceCoreTest, ReloadDeltaChainFoldsTailIntoBaseBitExactly) {
+  Rng rng(17);
+  const auto add_recipes = [&rng](int count, IncrementalCorpus* chain,
+                                   std::vector<CorpusDeltaRecord>* records) {
+    for (int i = 0; i < count; ++i) {
+      CorpusDeltaRecord record{static_cast<CuisineId>(rng.NextBounded(4)),
+                               std::vector<IngredientId>(2 + rng.NextBounded(4))};
+      for (IngredientId& id : record.ingredients) {
+        id = static_cast<IngredientId>(rng.NextBounded(12));
+      }
+      ASSERT_TRUE(chain->Add(record.cuisine, record.ingredients).ok());
+      if (records != nullptr) records->push_back(std::move(record));
+    }
+  };
+  IncrementalCorpus chain;
+  add_recipes(60, &chain, nullptr);
+  Result<RecipeCorpus> base = chain.Materialize();
+  ASSERT_TRUE(base.ok());
+  ServiceCore core = MakeUndeadlinedCore();
+  ASSERT_TRUE(core.InstallCorpus(*base, "base").ok());
+
+  int folds = 0;
+  for (int d = 0; d < 8; ++d) {
+    SCOPED_TRACE("delta " + std::to_string(d));
+    const std::shared_ptr<const ServiceSnapshot> before = core.Acquire();
+    CorpusDelta delta;
+    delta.base_recipes = before->num_recipes();
+    delta.base_fingerprint = before->content_fingerprint;
+    add_recipes(25, &chain, &delta.records);
+    const std::string path = testing::TempDir() + "culevo_fold_chain.bin";
+    ASSERT_TRUE(WriteCorpusDelta(path, delta, {.sync = false}).ok());
+    ASSERT_TRUE(core.ReloadDelta(path).ok());
+    std::remove(path.c_str());
+
+    const std::shared_ptr<const ServiceSnapshot> served = core.Acquire();
+    const size_t tail = before->index.tail().size() + 25;
+    if (tail > before->index.tail().first()) {
+      ++folds;
+      EXPECT_EQ(served->index.tail().size(), 0u);
+      EXPECT_EQ(served->index.tail().first(), served->num_recipes());
+    } else {
+      EXPECT_EQ(&served->index.base(), &before->index.base());
+      EXPECT_EQ(served->index.tail().size(), tail);
+    }
+    Result<RecipeCorpus> after = chain.Materialize();
+    ASSERT_TRUE(after.ok());
+    std::vector<std::string> requests;
+    for (int c = 0; c < 4; ++c) {
+      const std::string code = Code(static_cast<CuisineId>(c));
+      requests.push_back("overrep " + code + " 20");
+      requests.push_back("nearest " + code + " 30");
+      requests.push_back("stats " + code);
+      requests.push_back(StrFormat("freq %s #%d", code.c_str(), c));
+    }
+    ExpectServesLike(core, *after, std::move(requests));
+  }
+  // The third delta folds (a 75-recipe tail on a 60-recipe base) into a
+  // 135-recipe base; the five after it grow a tail of at most 125.
+  EXPECT_EQ(folds, 1);
+}
+
+// Extending one generation twice, as a reload that fails after building
+// its tail and the reload after it both do, must leave each successor
+// exact: the second writes its recipes and postings to storage of its
+// own, not over the first's, and the generation they extend is untouched.
+TEST(QueryIndexTest, ExtendingOneGenerationTwiceKeepsEachBitExact) {
+  using Recipes = std::vector<std::pair<CuisineId, std::vector<IngredientId>>>;
+  const RecipeCorpus base = SmallCorpus();
+  const auto build = [&base](const std::vector<const Recipes*>& runs) {
+    RecipeCorpus::Builder builder;
+    for (uint32_t r = 0; r < base.num_recipes(); ++r) {
+      EXPECT_TRUE(builder.Add(base.cuisine_of(r), base.ingredients_of(r)).ok());
+    }
+    for (const Recipes* run : runs) {
+      for (const auto& [cuisine, ids] : *run) {
+        EXPECT_TRUE(builder.Add(cuisine, ids).ok());
+      }
+    }
+    return QueryIndex::Build(builder.Build());
+  };
+  const auto extend = [](const QueryIndex& current, const Recipes& run) {
+    RecipeTail tail = current.tail();
+    for (const auto& [cuisine, ids] : run) {
+      EXPECT_TRUE(tail.Add(cuisine, ids).ok());
+    }
+    return QueryIndex::Extend(current, std::move(tail));
+  };
+
+  // A non-empty shared tail first, so both branches extend past it.
+  const Recipes shared = {{kA, {2, 9}}};
+  const Recipes branches[2] = {{{kA, {1, 8}}, {kB, {3, 9}}}, {{kB, {8, 2}}}};
+  const QueryIndex parent = extend(QueryIndex::Build(base), shared);
+  const QueryIndex first = extend(parent, branches[0]);
+  const QueryIndex second = extend(parent, branches[1]);
+  ASSERT_EQ(&first.base(), &parent.base());
+  ASSERT_EQ(&second.base(), &parent.base());
+  ExpectSameIndex(parent, build({&shared}));
+  ExpectSameIndex(first, build({&shared, &branches[0]}));
+  ExpectSameIndex(second, build({&shared, &branches[1]}));
+}
+
+// Two writers racing deltas that extend the same base: the writer mutex
+// makes the base check and the install one step, so exactly one delta is
+// applied and the other is refused, and each reply describes the
+// generation its own request installed.
+TEST(ServiceCoreTest, ConcurrentReloadDeltasApplyExactlyOne) {
+  const RecipeCorpus base = SmallCorpus();
+  std::vector<CorpusDeltaRecord> records[2] = {
+      {{kA, {7, 8}}}, {{kB, {1, 5}}, {kA, {2, 9}}, {kB, {3}}}};
+  std::string paths[2];
+  uint64_t want_fingerprint[2];
+  for (int w = 0; w < 2; ++w) {
+    CorpusDelta delta;
+    delta.base_recipes = base.num_recipes();
+    delta.base_fingerprint = CorpusContentFingerprint(base);
+    delta.records = records[w];
+    paths[w] = testing::TempDir() + "culevo_race_" + std::to_string(w) + ".bin";
+    ASSERT_TRUE(WriteCorpusDelta(paths[w], delta, {.sync = false}).ok());
+    IncrementalCorpus combined = IncrementalCorpus::FromCorpus(base);
+    for (const CorpusDeltaRecord& r : records[w]) {
+      ASSERT_TRUE(combined.Add(r.cuisine, r.ingredients).ok());
+    }
+    Result<RecipeCorpus> materialized = combined.Materialize();
+    ASSERT_TRUE(materialized.ok());
+    want_fingerprint[w] = CorpusContentFingerprint(*materialized);
+  }
+
+  for (int round = 0; round < 40; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    ServiceCore core = MakeCore();
+    ASSERT_TRUE(core.InstallCorpus(base, "base").ok());
+    std::atomic<int> ready{0};
+    std::string replies[2];
+    std::vector<std::thread> writers;
+    for (int w = 0; w < 2; ++w) {
+      writers.emplace_back([&, w] {
+        ready.fetch_add(1);
+        while (ready.load() < 2) {
+        }
+        replies[w] = core.Handle("reload-delta " + paths[w]);
+      });
+    }
+    for (std::thread& writer : writers) writer.join();
+
+    const bool ok[2] = {StartsWith(replies[0], "ok "),
+                        StartsWith(replies[1], "ok ")};
+    ASSERT_NE(ok[0], ok[1]) << replies[0] << replies[1];
+    const int winner = ok[0] ? 0 : 1;
+    EXPECT_TRUE(StartsWith(replies[1 - winner], "error FailedPrecondition"))
+        << replies[1 - winner];
+    EXPECT_EQ(replies[winner],
+              StrFormat("ok 2\nepoch\t2\nrecipes\t%zu\n",
+                        base.num_recipes() + records[winner].size()));
+    EXPECT_EQ(core.Acquire()->epoch, 2u);
+    EXPECT_EQ(core.Acquire()->content_fingerprint, want_fingerprint[winner]);
+  }
+  for (const std::string& path : paths) std::remove(path.c_str());
 }
 
 }  // namespace
